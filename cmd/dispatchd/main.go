@@ -60,7 +60,7 @@ func main() {
 		scenarios  = flag.String("scenarios", "", "comma-separated scenario names (default: all builtin)")
 		variants   = flag.String("variants", "default", "comma-separated variant names (\"all\" = every builtin)")
 		seeds      = flag.String("seeds", "2024", "comma-separated seeds")
-		checkpoint = flag.Duration("checkpoint", 6*time.Hour, "simulated-time checkpoint cadence for workers")
+		checkpoint = flag.Duration("checkpoint", 6*time.Hour, "simulated-time cadence of workers' mid-run snapshots")
 		lease      = flag.Duration("lease", dispatch.DefaultLease, "heartbeat deadline before a cell re-books")
 		timeout    = flag.Duration("timeout", 0, "wall-clock limit for the whole sweep (0 = none)")
 		out        = flag.String("out", "", "report directory (default: -dir)")

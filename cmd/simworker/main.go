@@ -1,10 +1,10 @@
 // Command simworker is the worker half of the dispatcher split (the simd
 // of SIMQ): it books sweep cells from a dispatchd, runs each through the
-// step-driven sapsim Session, streams coalesced Progress/Checkpoint events
-// back as lease-renewing heartbeats, uploads every artifact body into the
-// dispatcher's content-addressed store (deduplicated: a HEAD probe skips
-// blobs the store already holds), and completes each cell with its
-// metrics plus digests. Workers are stateless: start as many as you have
+// step-driven sapsim Session, sends lease-renewing heartbeats carrying a
+// pointer to its newest mid-run engine snapshot, uploads every artifact
+// body into the dispatcher's content-addressed store (deduplicated: a
+// HEAD probe skips blobs the store already holds), and completes each
+// cell with its metrics plus digests. Workers are stateless: start as many as you have
 // machines, kill them freely — a dead worker's cell re-books after its
 // lease expires.
 //

@@ -95,7 +95,7 @@ func main() {
 		dispatchTo   = flag.String("dispatch", "", "serve the matrix to external simworkers at this address instead of running in-process")
 		resumeDir    = flag.String("resume", "", "resume an interrupted dispatched sweep from this journal directory")
 		journalDir   = flag.String("journal", "", "journal directory for -dispatch (default: OUT/journal, or a temp dir)")
-		checkpoint   = flag.Duration("checkpoint", 6*time.Hour, "simulated-time checkpoint cadence for dispatched workers")
+		checkpoint   = flag.Duration("checkpoint", 6*time.Hour, "simulated-time cadence of dispatched workers' mid-run snapshots")
 		branch       = flag.Bool("branch", false, "warm-fork cells sharing a (variant, seed) from one snapshot of their common prefix (in-process mode only; byte-identical to a cold sweep)")
 		bundleDir    = flag.String("bundle", "", "materialize a digest-verified report bundle (artifact bodies included) into this directory")
 		traceOut     = flag.String("trace", "", "export the sweep's cell-lifecycle trace (Chrome trace-event JSON, Perfetto-loadable) to this file")

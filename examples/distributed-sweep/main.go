@@ -55,8 +55,8 @@ func main() {
 		Scenarios: []string{"baseline", "correlated-failures", "capacity-expansion"},
 		Variants:  []string{"default"},
 		Seeds:     []uint64{7, 11},
-		// Workers checkpoint every 3 simulated hours; each checkpoint is a
-		// lease-renewing heartbeat and a journaled resume point.
+		// Workers snapshot every 3 simulated hours; the next heartbeat
+		// journals a pointer to each one as a warm-resume point.
 		CheckpointEvery: 3 * sim.Hour,
 	}
 
@@ -87,9 +87,9 @@ func main() {
 		Dispatcher: "http://" + addr, ID: "victim",
 		HeartbeatEvery: 50 * time.Millisecond, Poll: 50 * time.Millisecond,
 		Hooks: dispatch.WorkerHooks{
-			// The first simulated-time checkpoint proves the cell is mid
-			// run; die right there.
-			OnCheckpoint: func(job int, _ dispatch.CheckpointRecord) { killVictim() },
+			// The first simulated-time snapshot capture proves the cell
+			// is mid run; die right there, before it is uploaded.
+			OnCapture: func(int, sim.Time) { killVictim() },
 		},
 	}
 	victimErr := make(chan error, 1)

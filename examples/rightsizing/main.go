@@ -26,25 +26,13 @@ func main() {
 	cfg.SampleEvery = 30 * sim.Minute
 	cfg.VMSampleEvery = sim.Hour
 
-	// Drive the window through a Session with a daily checkpoint cadence:
-	// the last checkpoint summarizes the run the recommendations are based
-	// on without touching the telemetry store.
-	session, err := sapsim.NewSession(cfg, sapsim.WithCheckpointEvery(sim.Day))
+	res, err := sapsim.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer session.Close()
-	if err := session.RunToCompletion(); err != nil {
-		log.Fatal(err)
-	}
-	res, err := session.Result()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if ckpt, ok := session.LastCheckpoint(); ok {
-		fmt.Printf("run: %d VMs live at %s, %d placements, %d migrations\n\n",
-			ckpt.LiveVMs, ckpt.At, ckpt.Scheduled, ckpt.Migrations)
-	}
+	stats := res.Scheduler.Stats()
+	fmt.Printf("run: %d placements (%d failed), %d migrations, %d resizes\n\n",
+		stats.Scheduled, stats.Failed, res.DRSMigrations+res.CrossBBMoves, res.Resizes)
 
 	// Mean usage per VM over the window, from the recorded VM series.
 	type usage struct{ cpu, mem float64 }

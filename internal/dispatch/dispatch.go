@@ -2,8 +2,8 @@
 // job queue backed by a JSON-lines journal (write-ahead log), an HTTP
 // dispatcher that books cells out to workers and collects per-cell metrics
 // and artifact digests, and a worker that runs each booked cell through the
-// step-driven sapsim Session, streaming coalesced Progress/Checkpoint
-// events back as lease-renewing heartbeats.
+// step-driven sapsim Session, sending lease-renewing heartbeats that carry
+// pointers to its mid-run engine snapshots.
 //
 // The shape follows the SIMQ dispatcher/simd split: the dispatcher owns
 // queue state and survives restarts (Resume replays the journal and
@@ -31,7 +31,7 @@
 // Wire protocol (JSON over HTTP; artifact bodies travel raw):
 //
 //	POST /book     {worker, capacity}        → 200 job+base config | 204 none free | 410 drained
-//	POST /progress {worker, job, attempt, checkpoint} → 200 (lease renewed) | 409 lease lost
+//	POST /progress {worker, job, attempt, snapshot, spans} → 200 (lease renewed) | 409 lease lost
 //	POST /complete {worker, job, attempt, run}        → 200 | 409 lease lost | 412 blobs missing
 //	POST /release  {worker, job, attempt}             → 200 (cell re-queued) | 409 lease lost
 //	HEAD /artifact/{digest} → 200 held | 404
@@ -54,8 +54,9 @@ import (
 )
 
 // FormatVersion versions every on-disk artifact of this package: the
-// journal header and each serialized checkpoint carry it, and readers
-// reject records from a different format rather than misparse them.
+// journal header and each snapshot and profile record carry it, and
+// readers reject records from a different format rather than misparse
+// them.
 // Version 2 added the content-addressed artifact store alongside the
 // journal (blob records in the WAL, store verification on resume).
 // Version 3 added mid-run snapshot records: workers upload encoded engine
@@ -69,7 +70,10 @@ import (
 // self-profile (per-phase time/work attribution) into the store and
 // journals a pointer, which — unlike a snapshot's — survives the cell's
 // completion for post-hoc analysis (analyze -engprof).
-const FormatVersion = 5
+// Version 6 removed checkpoint records: a heartbeat renews the lease and
+// carries snapshot pointers and spans, and a cold restart rebuilds the
+// cell from the Spec in the journal header.
+const FormatVersion = 6
 
 // ConfigSpec is the serializable subset of core.Config — the knobs the
 // sweep CLIs vary. Config reconstructs a full core.Config from it on the
@@ -143,8 +147,8 @@ type Spec struct {
 	Scenarios []string
 	Variants  []string
 	Seeds     []uint64
-	// CheckpointEvery is the simulated-time cadence workers take
-	// checkpoints at (default 6 simulated hours).
+	// CheckpointEvery is the simulated-time cadence of workers' mid-run
+	// snapshots (default 6 simulated hours).
 	CheckpointEvery sim.Time
 }
 
@@ -360,10 +364,9 @@ type JobStatus struct {
 	State   string
 	Worker  string `json:",omitempty"`
 	Attempt int
-	// Checkpoint is the latest heartbeat snapshot for in-flight cells.
-	Checkpoint *CheckpointRecord `json:",omitempty"`
 	// Snapshot points at the newest uploaded engine snapshot, the state a
-	// re-booking of this cell would warm-resume from.
+	// re-booking of this cell would warm-resume from; its At is how far an
+	// in-flight cell has provably run.
 	Snapshot *SnapshotRecord `json:",omitempty"`
 	// Profile points at the completed cell's engine self-profile blob.
 	Profile *ProfileRecord `json:",omitempty"`

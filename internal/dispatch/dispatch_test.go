@@ -19,6 +19,7 @@ import (
 	"sapsim/internal/artifact"
 	"sapsim/internal/core"
 	"sapsim/internal/scenario"
+	"sapsim/internal/sim"
 )
 
 // referenceSweep runs the spec's matrix in a single process with full
@@ -87,8 +88,9 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 	defer cancelAll()
 
 	// Worker A books one cell and dies mid-run: the kill fires on the
-	// cell's first simulated-time checkpoint, so it provably lands while
-	// the simulation is in flight no matter how fast the cell runs.
+	// cell's first simulated-time snapshot capture, so it provably lands
+	// while the simulation is in flight no matter how fast the cell runs,
+	// and before that snapshot is uploaded.
 	victimCtx, killVictim := context.WithCancel(ctx)
 	var victimJob = -1
 	var victimOnce sync.Once
@@ -106,7 +108,7 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 				}
 				victimMu.Unlock()
 			},
-			OnCheckpoint: func(int, CheckpointRecord) { victimOnce.Do(killVictim) },
+			OnCapture: func(int, sim.Time) { victimOnce.Do(killVictim) },
 		},
 	}
 	victimDone := make(chan error, 1)
@@ -117,7 +119,7 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 	select {
 	case <-victimCtx.Done():
 	case <-time.After(time.Minute):
-		t.Fatal("victim was never killed (no checkpoint observed)")
+		t.Fatal("victim was never killed (no snapshot capture observed)")
 	}
 	<-victimDone
 	victimMu.Lock()

@@ -33,7 +33,7 @@ type journalRecord struct {
 	Version int   `json:"v,omitempty"`
 	Spec    *Spec `json:"spec,omitempty"`
 
-	// state / checkpoint / result
+	// state / result
 	Job     int    `json:"job,omitempty"`
 	State   string `json:"state,omitempty"`
 	Worker  string `json:"worker,omitempty"`
@@ -44,8 +44,7 @@ type journalRecord struct {
 	// cannot reach a dispatcher that just restarted under a new address.
 	Lease string `json:"lease,omitempty"`
 
-	Checkpoint *CheckpointRecord `json:"ckpt,omitempty"`
-	Run        *RunResult        `json:"run,omitempty"`
+	Run *RunResult `json:"run,omitempty"`
 
 	// snapshot: a worker uploaded a mid-run engine snapshot for Job; the
 	// blob lives in the store under Snapshot.Digest. The newest record per
@@ -73,14 +72,13 @@ type journalRecord struct {
 }
 
 const (
-	recHeader     = "header"
-	recState      = "state"
-	recCheckpoint = "checkpoint"
-	recResult     = "result"
-	recArtifact   = "artifact"
-	recSnapshot   = "snapshot"
-	recProfile    = "profile"
-	recSpan       = "span"
+	recHeader   = "header"
+	recState    = "state"
+	recResult   = "result"
+	recArtifact = "artifact"
+	recSnapshot = "snapshot"
+	recProfile  = "profile"
+	recSpan     = "span"
 )
 
 // journalWriter appends records to the WAL. Callers serialize access (the

@@ -140,7 +140,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 				if err != nil || drained || job == nil {
 					return // attempts exhausted under churn: fine
 				}
-				_ = q.Progress(job.ID, worker, job.Attempt, nil)
+				_ = q.Progress(job.ID, worker, job.Attempt)
 				_ = q.Release(job.ID, worker, job.Attempt, "churn")
 				body := []byte(fmt.Sprintf("blob %s %d", worker, j))
 				if _, err := q.PutArtifact(artifact.Digest(body), body); err != nil {

@@ -25,8 +25,6 @@ type Job struct {
 
 	// Run holds the completion report for done/failed jobs.
 	Run *RunResult
-	// LastCheckpoint is the latest heartbeat snapshot while running.
-	LastCheckpoint *CheckpointRecord
 	// LastSnapshot points at the newest uploaded engine snapshot; a
 	// re-booking of this cell warm-resumes from it.
 	LastSnapshot *SnapshotRecord
@@ -195,12 +193,6 @@ func Resume(dir string, opts QueueOptions) (*Queue, error) {
 				j.Run = nil
 				j.Profile = nil
 			}
-		case recCheckpoint:
-			if rec.Checkpoint == nil || rec.Checkpoint.Validate() != nil {
-				replay.skipped++
-				continue
-			}
-			j.LastCheckpoint = rec.Checkpoint
 		case recSnapshot:
 			if rec.Snapshot == nil || rec.Snapshot.Validate() != nil {
 				replay.skipped++
@@ -312,9 +304,8 @@ func Resume(dir string, opts QueueOptions) (*Queue, error) {
 	// consequence. A damaged artifact blob re-queues its done cell (the
 	// result is unusable without its bodies); a damaged snapshot blob
 	// merely costs its in-flight cell the warm resume: the pointer is
-	// dropped and the cell restarts from t=0 through the CheckpointRecord
-	// path, exactly as every cell did before snapshots existed. Never a
-	// failure, never a re-queue.
+	// dropped and the cell restarts from t=0, rebuilt from the journaled
+	// Spec. Never a failure, never a re-queue.
 	badSnaps := map[string]int{}
 	for _, j := range q.jobs {
 		if j.LastSnapshot == nil {
@@ -607,11 +598,11 @@ func (q *Queue) Book(worker string, capacity int) (*Job, bool, error) {
 }
 
 // Progress records a worker heartbeat for a booked/running job: the lease
-// renews and the checkpoint (if any) is journaled. Attempt is the booking
-// nonce from BookResponse; it is what distinguishes the current holder
-// from a zombie whose expired cell was re-booked to the same worker ID.
-// Returns Stale when the worker no longer holds the job.
-func (q *Queue) Progress(jobID int, worker string, attempt int, ckpt *CheckpointRecord) error {
+// renews, and a booked job's first heartbeat journals it running. Attempt
+// is the booking nonce from BookResponse; it is what distinguishes the
+// current holder from a zombie whose expired cell was re-booked to the
+// same worker ID. Returns Stale when the worker no longer holds the job.
+func (q *Queue) Progress(jobID int, worker string, attempt int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.opts.now()
@@ -620,30 +611,13 @@ func (q *Queue) Progress(jobID int, worker string, attempt int, ckpt *Checkpoint
 	if err != nil {
 		return err
 	}
-	if ckpt != nil {
-		// Reject checkpoints from a different on-disk format (a
-		// version-skewed worker) before they reach the journal.
-		if verr := ckpt.Validate(); verr != nil {
-			return verr
-		}
-	}
 	j.Lease = now.Add(q.opts.Lease)
 	if q.metrics != nil {
 		q.metrics.progress.Inc()
 	}
 	if j.State == JobBooked {
 		j.State = JobRunning
-		if err := q.appendStateLocked(j); err != nil {
-			return err
-		}
-	}
-	if ckpt != nil {
-		j.LastCheckpoint = ckpt
-		if q.journal == nil {
-			return errors.New("dispatch: queue closed")
-		}
-		return q.journal.append(journalRecord{T: recCheckpoint, TS: now.UnixMicro(),
-			Job: j.ID, Worker: worker, Checkpoint: ckpt})
+		return q.appendStateLocked(j)
 	}
 	return nil
 }
@@ -1013,8 +987,8 @@ func (q *Queue) Snapshot() []JobStatus {
 	out := make([]JobStatus, len(q.jobs))
 	for i, j := range q.jobs {
 		st := JobStatus{ID: j.ID, Key: j.Key, State: j.State.String(),
-			Worker: j.Worker, Attempt: j.Attempt, Checkpoint: j.LastCheckpoint,
-			Snapshot: j.LastSnapshot, Profile: j.Profile}
+			Worker: j.Worker, Attempt: j.Attempt, Snapshot: j.LastSnapshot,
+			Profile: j.Profile}
 		if j.Run != nil {
 			st.Err = j.Run.Err
 		}

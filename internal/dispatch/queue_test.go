@@ -1,7 +1,9 @@
 package dispatch
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,7 +75,7 @@ func TestQueueBookProgressComplete(t *testing.T) {
 	}
 
 	// Progress moves booked → running and renews the lease.
-	if err := q.Progress(job.ID, "w1", job.Attempt, nil); err != nil {
+	if err := q.Progress(job.ID, "w1", job.Attempt); err != nil {
 		t.Fatal(err)
 	}
 	snap := q.Snapshot()
@@ -83,10 +85,10 @@ func TestQueueBookProgressComplete(t *testing.T) {
 
 	// A stranger cannot report on w1's job, and neither can w1 itself
 	// under a stale booking nonce.
-	if err := q.Progress(job.ID, "w2", job.Attempt, nil); !errors.Is(err, ErrStale) {
+	if err := q.Progress(job.ID, "w2", job.Attempt); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale progress error = %v, want ErrStale", err)
 	}
-	if err := q.Progress(job.ID, "w1", job.Attempt+1, nil); !errors.Is(err, ErrStale) {
+	if err := q.Progress(job.ID, "w1", job.Attempt+1); !errors.Is(err, ErrStale) {
 		t.Fatalf("wrong-attempt progress error = %v, want ErrStale", err)
 	}
 	if err := q.Complete(job.ID, "w2", job.Attempt, RunResult{}); !errors.Is(err, ErrStale) {
@@ -226,7 +228,7 @@ func TestQueueLeaseExpiryRebooks(t *testing.T) {
 		t.Fatalf("re-booked attempt = %d, want 2", job3.Attempt)
 	}
 	// The zombie w1 can no longer report.
-	if err := q.Progress(job.ID, "w1", job.Attempt, nil); !errors.Is(err, ErrStale) {
+	if err := q.Progress(job.ID, "w1", job.Attempt); !errors.Is(err, ErrStale) {
 		t.Fatalf("zombie progress error = %v, want ErrStale", err)
 	}
 
@@ -281,8 +283,7 @@ func TestResumeRequeuesInFlight(t *testing.T) {
 	}
 	q.Book("w1", 2)
 	j2, _, _ := q.Book("w2", 1)
-	ck := NewCheckpointRecord(j2.Key, testSpec().Base, checkpointFixture())
-	if err := q.Progress(j2.ID, "w2", j2.Attempt, &ck); err != nil {
+	if err := q.Progress(j2.ID, "w2", j2.Attempt); err != nil {
 		t.Fatal(err)
 	}
 	q.Close() // crash
@@ -302,10 +303,6 @@ func TestResumeRequeuesInFlight(t *testing.T) {
 	// The completed result survived.
 	if snap[0].Err != "" {
 		t.Errorf("job 0 err = %q", snap[0].Err)
-	}
-	// The running cell's checkpoint survived for observability.
-	if snap[2].Checkpoint == nil || snap[2].Checkpoint.At != checkpointFixture().At {
-		t.Errorf("job 2 checkpoint lost on resume: %+v", snap[2].Checkpoint)
 	}
 	if !strings.Contains(r.Recovered(), "1 done, 2 requeued") {
 		t.Errorf("Recovered() = %q", r.Recovered())
@@ -406,6 +403,119 @@ func TestResumeTornAndCorruptJournal(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsOtherJournalFormat: a journal whose header carries the
+// previous format version is refused with a typed message rather than
+// replayed with records this version no longer understands.
+func TestResumeRejectsOtherJournalFormat(t *testing.T) {
+	q, dir := newTestQueue(t, QueueOptions{})
+	q.Close()
+
+	path := filepath.Join(dir, JournalName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, rest, _ := strings.Cut(string(data), "\n")
+	var header journalRecord
+	if err := json.Unmarshal([]byte(first), &header); err != nil {
+		t.Fatal(err)
+	}
+	header.Version = FormatVersion - 1
+	old, err := json.Marshal(header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(string(old)+"\n"+rest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	want := fmt.Sprintf("journal format %d, want %d", FormatVersion-1, FormatVersion)
+	if r, err := Resume(dir, QueueOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		if r != nil {
+			r.Close()
+		}
+		t.Fatalf("Resume of a format-%d journal = %v, want %q", FormatVersion-1, err, want)
+	}
+}
+
+// TestJournalSpecRestartReproducesGoldenDigests is the cold-restart
+// guarantee: the Spec journaled in the header is all a re-run needs.
+// Create a queue for the golden cell, close it, Resume, build the cell
+// from the replayed spec alone, and the finished run's artifacts are
+// byte-identical to the repo's pinned golden digests (the same file
+// golden_test.go enforces).
+func TestJournalSpecRestartReproducesGoldenDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one reduced-scale 10-day run")
+	}
+	golden := readGoldenDigests(t)
+
+	// The golden config as a wire spec: DefaultConfig(42) at the golden
+	// harness's reduced scale.
+	base := SpecOf(sapsim.DefaultConfig(42))
+	base.Scale = 0.02
+	base.VMs = 960
+	base.Days = 10
+	dir := t.TempDir()
+	q, err := NewQueue(dir, Spec{Base: base, Scenarios: []string{"baseline"},
+		Variants: []string{"default"}, Seeds: []uint64{42}}, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Close(); err != nil { // the dispatcher dies here
+		t.Fatal(err)
+	}
+
+	r, err := Resume(dir, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	spec := r.Spec()
+	keys := spec.Keys()
+	if len(keys) != 1 {
+		t.Fatalf("replayed spec expands to %d cells, want 1", len(keys))
+	}
+	cfg, err := spec.CellConfig(keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sapsim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests, err := sapsim.ArtifactDigests(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(digests) != len(golden) {
+		t.Fatalf("restarted run produced %d artifacts, golden file has %d", len(digests), len(golden))
+	}
+	for id, want := range golden {
+		if digests[id] != want {
+			t.Errorf("%s: restarted digest %s != golden %s", id, digests[id], want)
+		}
+	}
+}
+
+// readGoldenDigests loads the repo's pinned artifact digests.
+func readGoldenDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/artifact_digests.txt")
+	if err != nil {
+		t.Fatalf("reading golden digests: %v", err)
+	}
+	out := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		id, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		out[id] = sum
+	}
+	return out
+}
+
 // TestSpecExpansionMatchesSweepOrder: Spec.Keys and scenario.Sweep agree
 // on cell order, so Merged's runs line up with the single-process result.
 func TestSpecExpansionMatchesSweepOrder(t *testing.T) {
@@ -428,8 +538,4 @@ func TestSpecExpansionMatchesSweepOrder(t *testing.T) {
 	if err := (Spec{Scenarios: []string{"no-such"}, Variants: []string{"default"}, Seeds: []uint64{1}}).Validate(); err == nil {
 		t.Error("unknown scenario name validated")
 	}
-}
-
-func checkpointFixture() sapsim.Checkpoint {
-	return sapsim.Checkpoint{At: 6 * sim.Hour, FiredEvents: 1234, LiveVMs: 250, Scheduled: 40}
 }

@@ -34,7 +34,7 @@ type BookResponse struct {
 	Key             bookKey
 	Attempt         int
 	Base            ConfigSpec
-	CheckpointEvery int64 // sim.Time (ns)
+	CheckpointEvery int64 // sim.Time (ns): the mid-run snapshot cadence
 	// Snapshot, when set, points at the newest journaled engine snapshot
 	// for this cell (a previous holder uploaded it before dying): the
 	// worker fetches the blob and warm-resumes from Snapshot.At instead of
@@ -56,14 +56,13 @@ type bookKey struct {
 }
 
 // ProgressRequest is a worker heartbeat: it renews the job's lease and
-// optionally journals a checkpoint snapshot. Attempt is the booking nonce
-// from BookResponse — a report from a previous booking of the same cell
-// is stale even if the worker ID matches.
+// carries the newest snapshot pointer and finished spans, if any. Attempt
+// is the booking nonce from BookResponse — a report from a previous
+// booking of the same cell is stale even if the worker ID matches.
 type ProgressRequest struct {
-	Worker     string
-	Job        int
-	Attempt    int
-	Checkpoint *CheckpointRecord `json:",omitempty"`
+	Worker  string
+	Job     int
+	Attempt int
 	// Snapshot reports a freshly uploaded engine snapshot (the blob must
 	// already be in the store via PUT /artifact/{digest}).
 	Snapshot *SnapshotRecord `json:",omitempty"`
@@ -246,7 +245,7 @@ func (d *Dispatcher) handleProgress(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if err := d.queue.Progress(req.Job, req.Worker, req.Attempt, req.Checkpoint); err != nil {
+	if err := d.queue.Progress(req.Job, req.Worker, req.Attempt); err != nil {
 		if errors.Is(err, ErrStale) {
 			http.Error(w, err.Error(), http.StatusConflict)
 		} else {

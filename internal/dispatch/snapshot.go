@@ -12,13 +12,11 @@ import (
 // store under Digest, exactly like an artifact body; the record binds the
 // blob to its cell and capture instant. A re-booked cell warm-resumes
 // from the newest intact snapshot, skipping everything up to At; when the
-// blob is missing or damaged the cell falls back to the t=0 restart path
-// the CheckpointRecord has always provided, never to a failure.
-//
-// Unlike a CheckpointRecord, which carries only the inputs needed to
-// re-run a cell from scratch, a SnapshotRecord points at actual engine
-// state — so its loss is cheap (a cold re-run) and the queue journals it
-// with a plain append rather than an fsync.
+// blob is missing or damaged the cell falls back to a cold t=0 restart,
+// rebuilt from the Spec in the journal header, never to a failure. Every
+// engine draw derives from the seed, so the cold re-run reaches the same
+// state — the snapshot only saves the replayed prefix. Its loss is cheap,
+// and the queue journals it with a plain append rather than an fsync.
 type SnapshotRecord struct {
 	// Format is FormatVersion at record time; Validate rejects mismatches
 	// before a version-skewed worker's pointer reaches the journal.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sapsim/internal/sim"
 	"sapsim/internal/trace"
 )
 
@@ -32,7 +33,7 @@ func TestTraceSurvivesCrashResume(t *testing.T) {
 	tid := CellTraceID(job.Key)
 	parent := attemptSpanID(job.ID, job.Attempt)
 
-	// First holder ships a build span and a checkpoint, then the
+	// First holder ships a build span and a snapshot pointer, then the
 	// dispatcher dies with the cell in flight.
 	b1 := trace.NewBuilder(tid, parent, parent)
 	start := clock.t
@@ -48,8 +49,11 @@ func TestTraceSurvivesCrashResume(t *testing.T) {
 	if err := q.RecordSpans(job.ID, "w1", job.Attempt+1, zombie.Drain()); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale RecordSpans = %v, want ErrStale", err)
 	}
-	ckpt := NewCheckpointRecord(job.Key, testSpec().Base, checkpointFixture())
-	if err := q.Progress(job.ID, "w1", job.Attempt, &ckpt); err != nil {
+	if err := q.Progress(job.ID, "w1", job.Attempt); err != nil {
+		t.Fatal(err)
+	}
+	snapRec := NewSnapshotRecord(6*sim.Hour, putBody(t, q, "snapshot blob of job 0"))
+	if err := q.RecordSnapshot(job.ID, "w1", job.Attempt, snapRec); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Close(); err != nil {

@@ -31,13 +31,12 @@ var errDrained = errors.New("dispatch: sweep drained")
 type WorkerHooks struct {
 	// OnBook fires after a cell is booked, before it runs.
 	OnBook func(job int, key scenario.Key)
-	// OnCheckpoint fires when the running cell takes a checkpoint (on the
-	// session's event-dispatch goroutine, at the spec's simulated-time
-	// cadence — guaranteed mid-run, however fast the cell runs on the
-	// wall clock).
-	OnCheckpoint func(job int, rec CheckpointRecord)
-	// OnHeartbeat fires after each accepted heartbeat.
-	OnHeartbeat func(job int, ckpt *CheckpointRecord)
+	// OnCapture fires when the running cell captures a mid-run engine
+	// snapshot, before it is encoded or uploaded (on the session's
+	// event-dispatch goroutine, at the spec's simulated-time cadence —
+	// guaranteed mid-run, however fast the cell runs on the wall clock).
+	// It never fires with DisableSnapshots set.
+	OnCapture func(job int, at sim.Time)
 	// OnUpload fires per artifact body shipped to the dispatcher's store;
 	// deduplicated reports blobs the store already held (skipped via the
 	// HEAD probe).
@@ -51,8 +50,8 @@ type WorkerHooks struct {
 }
 
 // Worker is the simd half of the dispatcher split: a stateless loop that
-// books cells, runs each through the step-driven sapsim Session, streams
-// coalesced Progress/Checkpoint events back as lease-renewing heartbeats,
+// books cells, runs each through the step-driven sapsim Session, sends
+// lease-renewing heartbeats carrying its newest mid-run snapshot pointer,
 // uploads every artifact body into the dispatcher's content-addressed
 // store (HEAD-deduplicated: blobs the store already holds never travel),
 // and completes with the cell's metrics plus digests. Workers hold no
@@ -314,8 +313,8 @@ func (w *Worker) book(ctx context.Context, id string) (*BookResponse, error) {
 }
 
 // runCell executes one booked cell through a sapsim Session, heartbeating
-// the latest coalesced checkpoint at HeartbeatEvery, ships the artifact
-// bodies, and completes it.
+// at HeartbeatEvery with the newest uploaded snapshot pointer, ships the
+// artifact bodies, and completes it.
 func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) error {
 	key := scenario.Key{Scenario: booked.Key.Scenario, Variant: booked.Key.Variant, Seed: booked.Key.Seed}
 	spec := Spec{Base: booked.Base}
@@ -335,13 +334,11 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	cellCtx, cancelCell := context.WithCancelCause(ctx)
 	defer cancelCell(nil)
 
-	// latest holds the freshest checkpoint, pending the freshest encoded
-	// engine snapshot; the heartbeat loop posts them at its own wall-clock
-	// pace — Progress events coalesce in the session dispatcher,
-	// checkpoints and snapshots coalesce here (newest wins).
+	// pending holds the freshest encoded engine snapshot; the heartbeat
+	// loop ships it at its own wall-clock pace, so snapshots coalesce here
+	// (newest wins).
 	var (
 		mu      sync.Mutex
-		latest  *CheckpointRecord
 		pending *pendingSnapshot
 	)
 	// Span collection: the dispatcher handed us trace context (Trace is
@@ -385,15 +382,10 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		case sapsim.SessionPhase:
 			addSpan(c.Name, c.Start, c.End, map[string]string{
 				"sim_from": fmt.Sprint(c.FromSim), "sim_to": fmt.Sprint(c.ToSim)})
-		case sapsim.Checkpoint:
-			rec := NewCheckpointRecord(key, spec.Base, c)
-			mu.Lock()
-			latest = &rec
-			mu.Unlock()
-			if w.Hooks.OnCheckpoint != nil {
-				w.Hooks.OnCheckpoint(booked.Job, rec)
-			}
 		case sapsim.SnapshotReady:
+			if w.Hooks.OnCapture != nil {
+				w.Hooks.OnCapture(booked.Job, c.At)
+			}
 			// Encode here, on the session's event-dispatch goroutine; the
 			// heartbeat loop ships the blob and reports the pointer.
 			encStart := time.Now()
@@ -409,7 +401,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		}
 	})
 	buildSession := func(snap *sapsim.Snapshot) (*sapsim.Session, error) {
-		opts := []sapsim.Option{sapsim.WithContext(cellCtx), sapsim.WithCheckpointEvery(every), observe}
+		opts := []sapsim.Option{sapsim.WithContext(cellCtx), observe}
 		if !w.DisableSnapshots {
 			opts = append(opts, sapsim.WithSnapshotEvery(every))
 		}
@@ -421,9 +413,9 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 
 	// Warm resume: a previous holder of this cell uploaded a snapshot
 	// before dying. Every failure on this path — fetch, decode, config
-	// mismatch at build — degrades to the cold t=0 start the checkpoint
-	// record path always provided; a snapshot saves the replayed prefix,
-	// it is never a correctness dependency.
+	// mismatch at build — degrades to a cold t=0 start from the booked
+	// config; a snapshot saves the replayed prefix, it is never a
+	// correctness dependency.
 	var session *sapsim.Session
 	if booked.Snapshot != nil && !w.DisableSnapshots {
 		if snap, err := w.fetchSnapshot(cellCtx, booked.Snapshot); err != nil {
@@ -451,7 +443,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	}
 	defer session.Close()
 
-	// Heartbeat loop: renew the lease even before the first checkpoint,
+	// Heartbeat loop: renew the lease even before the first snapshot,
 	// and keep renewing through artifact rendering and upload — the
 	// post-simulation work can outlast a lease on slow links, and a cell
 	// that expires there re-runs from scratch just to hit the same wall.
@@ -483,7 +475,6 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 			case <-t.C:
 			}
 			mu.Lock()
-			ckpt := latest
 			snap := pending
 			mu.Unlock()
 			// Ship the newest snapshot blob before reporting its pointer:
@@ -507,7 +498,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 			hbStart := time.Now()
 			status, err := w.post(cellCtx, "/progress",
 				ProgressRequest{Worker: id, Job: booked.Job, Attempt: booked.Attempt,
-					Checkpoint: ckpt, Snapshot: snapRec, Spans: spanBatch}, &ok)
+					Snapshot: snapRec, Spans: spanBatch}, &ok)
 			if err != nil {
 				// Transient; the lease outlives several heartbeats. The spans
 				// go back in the buffer — the next report re-ships them.
@@ -529,25 +520,18 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 				requeueSpans(spanBatch)
 				w.logf("worker %s: job %d heartbeat rejected: status %d", id, booked.Job, status)
 			}
-			if status == http.StatusOK {
-				// The checkpoint is journaled; don't re-send an unchanged
-				// one — later heartbeats renew the lease with a nil
-				// checkpoint until the session produces a fresh snapshot,
-				// keeping the WAL proportional to state changes, not wall
-				// time.
+			if status == http.StatusOK && snap != nil {
+				// The pointer is journaled; don't re-send it — later
+				// heartbeats only renew the lease until the session
+				// produces a fresh snapshot, keeping the WAL proportional
+				// to state changes, not wall time.
 				mu.Lock()
-				if latest == ckpt {
-					latest = nil
-				}
-				if snap != nil && pending == snap {
+				if pending == snap {
 					pending = nil
 				}
 				mu.Unlock()
-				if snap != nil && w.Hooks.OnSnapshot != nil {
+				if w.Hooks.OnSnapshot != nil {
 					w.Hooks.OnSnapshot(booked.Job, *snapRec)
-				}
-				if w.Hooks.OnHeartbeat != nil {
-					w.Hooks.OnHeartbeat(booked.Job, ckpt)
 				}
 			}
 		}

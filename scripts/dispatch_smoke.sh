@@ -116,7 +116,6 @@ grep -q 'host-failures' "$journal/report.txt" ||
   { echo "smoke: merged report is missing scenarios" >&2; exit 1; }
 
 echo "smoke: sweep completed after worker kill + lease re-book + warm resume"
-echo "smoke: journaled checkpoints: $(grep -c '"t":"checkpoint"' "$journal/journal.jsonl" || true)"
 echo "smoke: journaled snapshots: $(grep -c '"t":"snapshot"' "$journal/journal.jsonl" || true)"
 
 # The workers uploaded every artifact body into the journal dir's CAS;

@@ -15,7 +15,7 @@ import (
 
 // SessionEvent is the interface satisfied by every typed event a Session
 // delivers to its observers: Progress, Placement, Migration, ArtifactReady,
-// Checkpoint, and Error.
+// SnapshotReady, ProfileReady, SessionPhase, and Error.
 type SessionEvent interface{ sessionEvent() }
 
 // Progress reports the run's heartbeat, emitted once per host-telemetry
@@ -68,22 +68,6 @@ type ArtifactReady struct {
 	Artifact *Artifact
 }
 
-// Checkpoint is a consistent snapshot of the run's counters, emitted at the
-// WithCheckpointEvery cadence and retrievable via Session.LastCheckpoint.
-// It is the state a supervisor persists to resume accounting after a crash.
-type Checkpoint struct {
-	At          sim.Time
-	FiredEvents uint64
-	LiveVMs     int
-	Scheduled   int
-	Failed      int
-	Retries     int
-	Resizes     int
-	// Migrations counts every host-to-host move so far — DRS, cross-BB,
-	// and evacuations — matching the session's Migration event stream.
-	Migrations int
-}
-
 // Error reports a run abort (context cancellation, engine failure) or a
 // non-fatal artifact computation failure.
 type Error struct {
@@ -111,7 +95,6 @@ func (Progress) sessionEvent()      {}
 func (Placement) sessionEvent()     {}
 func (Migration) sessionEvent()     {}
 func (ArtifactReady) sessionEvent() {}
-func (Checkpoint) sessionEvent()    {}
 func (Error) sessionEvent()         {}
 func (SessionPhase) sessionEvent()  {}
 
@@ -190,13 +173,12 @@ func (s SessionState) String() string {
 }
 
 type sessionOptions struct {
-	ctx             context.Context
-	observers       []Observer
-	policyNames     []string
-	checkpointEvery sim.Time
-	snapshotEvery   sim.Time
-	incremental     bool
-	incrementalIDs  map[string]bool
+	ctx            context.Context
+	observers      []Observer
+	policyNames    []string
+	snapshotEvery  sim.Time
+	incremental    bool
+	incrementalIDs map[string]bool
 }
 
 // Option configures a Session at construction.
@@ -252,18 +234,6 @@ func WithPolicy(name string) Option {
 	}
 }
 
-// WithCheckpointEvery emits a Checkpoint event every interval of simulated
-// time (in addition to the per-tick Progress stream).
-func WithCheckpointEvery(every sim.Time) Option {
-	return func(o *sessionOptions) error {
-		if every <= 0 {
-			return errors.New("sapsim: non-positive checkpoint interval")
-		}
-		o.checkpointEvery = every
-		return nil
-	}
-}
-
 // WithIncrementalArtifacts enables ArtifactReady events: experiments whose
 // inputs are final before the horizon (StageStatic, StageEpoch,
 // StageArrivals) emit as soon as they stabilize, the rest at completion.
@@ -314,10 +284,6 @@ type Session struct {
 	// assembling at t=0.
 	resume *Snapshot
 
-	lastCheckpoint Checkpoint
-	hasCheckpoint  bool
-	nextCheckpoint sim.Time
-
 	lastSnapshot *Snapshot
 	nextSnapshot sim.Time
 	// snapEvery is the effective snapshot interval: it starts at the
@@ -325,10 +291,6 @@ type Session struct {
 	// stretchSnapshotEvery) when the profiler shows capture cost blowing
 	// the overhead budget.
 	snapEvery sim.Time
-
-	// migrations counts every migration hook firing (all kinds); written
-	// and read on the driving goroutine only.
-	migrations int
 
 	// pending holds incremental experiments not yet emitted, keyed by
 	// effective stage; each stage's list is consumed exactly once, so the
@@ -383,11 +345,6 @@ func (s *Session) Now() sim.Time {
 // Horizon reports the end of the observation window.
 func (s *Session) Horizon() sim.Time { return s.cfg.Horizon() }
 
-// LastCheckpoint returns the most recent checkpoint snapshot, if any.
-func (s *Session) LastCheckpoint() (Checkpoint, bool) {
-	return s.lastCheckpoint, s.hasCheckpoint
-}
-
 // Build assembles the simulation: topology, scheduler, epoch population,
 // samplers, rebalancers, and scenario injectors, leaving the clock at zero.
 // Build is idempotent; Start calls it implicitly.
@@ -412,16 +369,11 @@ func (s *Session) Build() error {
 			s.disp.publish(Placement{At: now, VM: vm, Flavor: flavor,
 				Node: node, Failed: reason != "", Reason: reason})
 		}
-	}
-	if s.disp != nil || s.opts.checkpointEvery > 0 {
 		hooks.OnMigration = func(now sim.Time, vm, flavor, from, to string, kind core.MigrationKind) {
-			s.migrations++
-			if s.disp != nil {
-				s.disp.publish(Migration{At: now, VM: vm, From: from, To: to, Kind: string(kind)})
-			}
+			s.disp.publish(Migration{At: now, VM: vm, From: from, To: to, Kind: string(kind)})
 		}
 	}
-	if s.disp != nil || s.opts.checkpointEvery > 0 || s.opts.incremental {
+	if s.disp != nil || s.opts.incremental {
 		hooks.OnTick = s.onTick
 	}
 	var simulation *core.Simulation
@@ -436,13 +388,12 @@ func (s *Session) Build() error {
 		return err
 	}
 	s.sim = simulation
-	// Cadences count from the run's starting point: t=0 for a cold build,
-	// the snapshot time for a resumed one.
+	// The snapshot cadence counts from the run's starting point: t=0 for a
+	// cold build, the snapshot time for a resumed one.
 	base := sim.Time(0)
 	if s.resume != nil {
 		base = s.resume.At
 	}
-	s.nextCheckpoint = base + s.opts.checkpointEvery
 	s.snapEvery = s.opts.snapshotEvery
 	if s.snapEvery > 0 {
 		s.nextSnapshot = base + s.snapEvery
@@ -624,16 +575,10 @@ func (s *Session) Close() error {
 }
 
 // finish marks the session done: summary counters are final, remaining
-// incremental artifacts emit, a terminal checkpoint snapshots the finished
-// run (so supervisors persisting checkpoints always hold the horizon
-// state), and the dispatcher drains.
+// incremental artifacts emit, and the dispatcher drains.
 func (s *Session) finish() {
 	s.state = StateDone
 	s.emitReadyArtifacts(StageStatic, StageEpoch, StageArrivals, StageComplete)
-	if now := s.sim.Now(); s.opts.checkpointEvery > 0 &&
-		(!s.hasCheckpoint || s.lastCheckpoint.At < now) {
-		s.takeCheckpoint(now)
-	}
 	s.publish(ProfileReady{At: s.sim.Now(), Profile: s.sim.Result().Profile})
 	s.publishProgress()
 	if s.disp != nil {
@@ -665,10 +610,6 @@ func (s *Session) fail(err error) {
 // after each host-telemetry sweep.
 func (s *Session) onTick(now sim.Time) {
 	s.publishProgress()
-	if every := s.opts.checkpointEvery; every > 0 && now >= s.nextCheckpoint {
-		s.takeCheckpoint(now)
-		s.nextCheckpoint = now + every
-	}
 	if len(s.pending[StageArrivals]) > 0 && now >= s.sim.LastArrival() {
 		s.emitReadyArtifacts(StageArrivals)
 	}
@@ -687,24 +628,6 @@ func (s *Session) publishProgress() {
 		FiredEvents: s.sim.FiredEvents(),
 		LiveVMs:     s.sim.LiveVMs(),
 	})
-}
-
-func (s *Session) takeCheckpoint(now sim.Time) {
-	res := s.sim.Result()
-	stats := res.Scheduler.Stats()
-	ckpt := Checkpoint{
-		At:          now,
-		FiredEvents: s.sim.FiredEvents(),
-		LiveVMs:     s.sim.LiveVMs(),
-		Scheduled:   stats.Scheduled,
-		Failed:      stats.Failed,
-		Retries:     stats.Retries,
-		Resizes:     res.Resizes,
-		Migrations:  s.migrations,
-	}
-	s.lastCheckpoint = ckpt
-	s.hasCheckpoint = true
-	s.publish(ckpt)
 }
 
 // effectiveStage narrows an experiment's declared stage to this run's

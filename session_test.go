@@ -512,46 +512,6 @@ func TestSessionIncrementalArtifactsWithInjectors(t *testing.T) {
 	}
 }
 
-// TestSessionCheckpoints: the checkpoint cadence produces monotone
-// snapshots and LastCheckpoint tracks the latest one.
-func TestSessionCheckpoints(t *testing.T) {
-	col := &collector{}
-	cfg := sessionTestConfig(9)
-	s, err := NewSession(cfg, WithObserver(col), WithCheckpointEvery(6*sim.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.RunToCompletion(); err != nil {
-		t.Fatal(err)
-	}
-	var ckpts []Checkpoint
-	for _, ev := range col.snapshot() {
-		if c, ok := ev.(Checkpoint); ok {
-			ckpts = append(ckpts, c)
-		}
-	}
-	// 2 days at a 6-hour cadence: 8 checkpoints, first at the cadence mark.
-	if len(ckpts) < 6 {
-		t.Fatalf("got %d checkpoints, want ~8", len(ckpts))
-	}
-	for i := 1; i < len(ckpts); i++ {
-		if ckpts[i].At <= ckpts[i-1].At {
-			t.Fatalf("checkpoint times not monotone: %v then %v", ckpts[i-1].At, ckpts[i].At)
-		}
-		if ckpts[i].FiredEvents < ckpts[i-1].FiredEvents {
-			t.Fatalf("fired-event counter went backwards")
-		}
-	}
-	last, ok := s.LastCheckpoint()
-	if !ok {
-		t.Fatal("LastCheckpoint empty after run")
-	}
-	if last != ckpts[len(ckpts)-1] {
-		t.Fatalf("LastCheckpoint %+v != final streamed %+v", last, ckpts[len(ckpts)-1])
-	}
-}
-
 func TestSessionOptionValidation(t *testing.T) {
 	if _, err := NewSession(sessionTestConfig(1), WithPolicy("no-such-policy")); err == nil {
 		t.Error("unknown policy accepted")
@@ -561,9 +521,6 @@ func TestSessionOptionValidation(t *testing.T) {
 	}
 	if _, err := NewSession(sessionTestConfig(1), WithObserver(nil)); err == nil {
 		t.Error("nil observer accepted")
-	}
-	if _, err := NewSession(sessionTestConfig(1), WithCheckpointEvery(0)); err == nil {
-		t.Error("zero checkpoint interval accepted")
 	}
 	if _, err := NewSession(sessionTestConfig(1), WithIncrementalArtifacts("nope")); err == nil {
 		t.Error("unknown incremental artifact ID accepted")
