@@ -18,9 +18,9 @@ import (
 
 // mapSeries fans fn out over the series with a bounded worker pool and
 // returns the results in input order, so downstream merges stay
-// deterministic regardless of scheduling. Aggregations over the sharded
-// store are per-series independent, which makes this the one parallel
-// primitive every heatmap and pooled statistic needs.
+// deterministic regardless of scheduling. Aggregations over Select's
+// immutable snapshots are per-series independent, which makes this the one
+// parallel primitive every heatmap and pooled statistic needs.
 func mapSeries[T any](series []*telemetry.Series, fn func(*telemetry.Series) T) []T {
 	out := make([]T, len(series))
 	workers := runtime.GOMAXPROCS(0)

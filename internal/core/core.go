@@ -187,8 +187,9 @@ func pickLive(live map[vmmodel.ID]*vmmodel.VM, rng *rand.Rand) *vmmodel.VM {
 
 // sampler writes telemetry into the result store through a batched
 // appender: each sampling sweep buffers every (metric, host/VM) sample and
-// lands in one commit — one lock acquisition per touched shard instead of
-// one per sample.
+// lands in one commit — one store-lock acquisition instead of one per
+// sample. It runs on the engine goroutine; nothing else writes the store
+// during a run.
 type sampler struct {
 	res *Result
 	cfg Config

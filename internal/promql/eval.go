@@ -20,8 +20,8 @@ type Sample struct {
 type Vector []Sample
 
 // Engine evaluates parsed expressions against any telemetry Querier
-// (typically the sharded *telemetry.Store, whose Select hands back
-// immutable snapshots served from the postings index).
+// (typically *telemetry.Store, whose Select hands back immutable snapshots
+// served from the postings index).
 type Engine struct {
 	Store telemetry.Querier
 }

@@ -6,6 +6,7 @@ package scrape
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -54,19 +55,18 @@ func parseLine(line string) (ParsedSample, error) {
 	if nameEnd < 0 {
 		return s, fmt.Errorf("malformed line %q", line)
 	}
+	if nameEnd == 0 {
+		return s, fmt.Errorf("missing metric name in %q", line)
+	}
 	s.Name = line[:nameEnd]
 	rest := line[nameEnd:]
 	if rest[0] == '{' {
-		close := strings.Index(rest, "}")
-		if close < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		labels, err := parseLabels(rest[1:close])
+		labels, after, err := parseLabels(rest[1:])
 		if err != nil {
 			return s, err
 		}
 		s.Labels = labels
-		rest = rest[close+1:]
+		rest = after
 	}
 	valueStr := strings.TrimSpace(rest)
 	// A trailing timestamp (milliseconds) may follow the value.
@@ -81,17 +81,28 @@ func parseLine(line string) (ParsedSample, error) {
 	return s, nil
 }
 
-func parseLabels(body string) (telemetry.Labels, error) {
+// parseLabels parses a label set whose opening brace precedes body and
+// returns it with the rest of the line after the closing brace. The scan
+// is quote-aware, so a '}' inside a quoted value does not end the set.
+func parseLabels(body string) (telemetry.Labels, string, error) {
 	var pairs []string
-	for len(body) > 0 {
-		eq := strings.IndexByte(body, '=')
-		if eq < 0 {
-			return telemetry.Labels{}, fmt.Errorf("malformed labels %q", body)
+	for {
+		body = strings.TrimSpace(body)
+		if body == "" {
+			return telemetry.Labels{}, "", errors.New("unterminated label set")
+		}
+		if body[0] == '}' {
+			labels, err := telemetry.NewLabels(pairs...)
+			return labels, body[1:], err
+		}
+		eq := strings.IndexAny(body, "=}")
+		if eq < 0 || body[eq] != '=' {
+			return telemetry.Labels{}, "", fmt.Errorf("malformed labels %q", body)
 		}
 		key := strings.TrimSpace(body[:eq])
 		body = body[eq+1:]
 		if len(body) == 0 || body[0] != '"' {
-			return telemetry.Labels{}, fmt.Errorf("unquoted label value after %q", key)
+			return telemetry.Labels{}, "", fmt.Errorf("unquoted label value after %q", key)
 		}
 		// Find the closing quote, honoring escapes.
 		end := -1
@@ -106,17 +117,15 @@ func parseLabels(body string) (telemetry.Labels, error) {
 			}
 		}
 		if end < 0 {
-			return telemetry.Labels{}, fmt.Errorf("unterminated label value after %q", key)
+			return telemetry.Labels{}, "", fmt.Errorf("unterminated label value after %q", key)
 		}
 		val, err := strconv.Unquote(body[:end+1])
 		if err != nil {
-			return telemetry.Labels{}, fmt.Errorf("bad label value after %q: %w", key, err)
+			return telemetry.Labels{}, "", fmt.Errorf("bad label value after %q: %w", key, err)
 		}
 		pairs = append(pairs, key, val)
 		body = strings.TrimPrefix(strings.TrimSpace(body[end+1:]), ",")
-		body = strings.TrimSpace(body)
 	}
-	return telemetry.NewLabels(pairs...)
 }
 
 // Scraper pulls one or more HTTP targets into a telemetry store.
@@ -145,8 +154,10 @@ func (s *Scraper) ScrapeTarget(url string, now sim.Time) (int, error) {
 }
 
 // Ingest parses exposition text and appends the samples at time now. The
-// whole scrape is batched through one Appender commit, taking each store
-// shard lock once instead of once per sample. Samples that fail the
+// whole scrape is batched through one Appender commit, taking the store
+// lock once instead of once per sample. It is safe for concurrent use, but
+// no caller needs that: analyze -scrape and the flight recorder visit
+// their targets one after another. Samples that fail the
 // out-of-order check are dropped and excluded from the returned count;
 // the rest of the scrape still lands.
 func (s *Scraper) Ingest(r io.Reader, now sim.Time) (int, error) {

@@ -2,6 +2,7 @@ package scrape
 
 import (
 	"bytes"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -20,13 +21,15 @@ func TestParseSimpleGauge(t *testing.T) {
 foo 42
 bar{a="1",b="two"} 3.14
 baz{x="esc\"aped"} -7e3
+m{a="}"} 1
+m{a="x",b="y}z"} 2
 `
 	samples, err := Parse(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != 3 {
-		t.Fatalf("parsed %d samples, want 3", len(samples))
+	if len(samples) != 5 {
+		t.Fatalf("parsed %d samples, want 5", len(samples))
 	}
 	if samples[0].Name != "foo" || samples[0].Value != 42 || samples[0].Labels.Len() != 0 {
 		t.Errorf("sample 0 = %+v", samples[0])
@@ -36,6 +39,13 @@ baz{x="esc\"aped"} -7e3
 	}
 	if samples[2].Labels.Get("x") != `esc"aped` || samples[2].Value != -7000 {
 		t.Errorf("sample 2 = %+v", samples[2])
+	}
+	// A '}' inside a quoted label value does not close the label set.
+	if samples[3].Name != "m" || samples[3].Labels.Get("a") != "}" || samples[3].Value != 1 {
+		t.Errorf("sample 3 = %+v", samples[3])
+	}
+	if samples[4].Labels.Get("a") != "x" || samples[4].Labels.Get("b") != "y}z" || samples[4].Value != 2 {
+		t.Errorf("sample 4 = %+v", samples[4])
 	}
 }
 
@@ -56,6 +66,7 @@ func TestParseErrors(t *testing.T) {
 		"m{a=\"1\"} notanumber\n",
 		"m{a=1} 3\n",
 		"m{noeq} 3\n",
+		"{a=\"b\"} 1\n",
 	}
 	for _, in := range bad {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
@@ -73,6 +84,42 @@ func TestParseSkipsCommentsAndBlanks(t *testing.T) {
 	if len(samples) != 1 {
 		t.Errorf("parsed %d, want 1", len(samples))
 	}
+}
+
+// FuzzParse: Parse never panics on arbitrary bytes, and whatever it
+// accepts ingests into a fresh store without panicking; the only error
+// ingest may add is a repeated series rejected as out of order.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"# HELP foo A foo metric.\n# TYPE foo gauge\nfoo 42\nbar{a=\"1\",b=\"two\"} 3.14\nbaz{x=\"esc\\\"aped\"} -7e3\n",
+		"m{l=\"v\"} 5 1700000000000\n",
+		"just_a_name\n",
+		"m{unterminated=\"v 3\n",
+		"m{a=\"1\"} notanumber\n",
+		"m{a=1} 3\n",
+		"m{noeq} 3\n",
+		"\n# comment\n\nm 1\n\n",
+		"cpu{node=\"n1\"} 55\nmem{node=\"n1\"} 70\n",
+		"m 1\nm 2\n",
+		"m{a=\"}\"} 1\n",
+		"m{a=\"x\",b=\"y}z\"} 2\n",
+		"{a=\"b\"} 1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		samples, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n, err := (&Scraper{Store: telemetry.NewStore()}).Ingest(bytes.NewReader(data), sim.Hour)
+		if err != nil && !errors.Is(err, telemetry.ErrOutOfOrder) {
+			t.Fatalf("Ingest of parsed input failed: %v", err)
+		}
+		if n > len(samples) {
+			t.Fatalf("Ingest applied %d samples of %d parsed", n, len(samples))
+		}
+	})
 }
 
 func TestIngestAppendsToStore(t *testing.T) {

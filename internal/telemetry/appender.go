@@ -7,7 +7,7 @@ import (
 )
 
 // pendingSample is one buffered write, pre-hashed at Append time so Commit
-// only routes and applies.
+// only applies.
 type pendingSample struct {
 	metric string
 	labels Labels
@@ -17,13 +17,12 @@ type pendingSample struct {
 }
 
 // Appender batches writes to the store, Telegraf-style: callers buffer a
-// sampling sweep (or a whole scrape) and Commit applies it with one lock
-// acquisition per touched shard, instead of one per sample. An Appender is
-// not safe for concurrent use; give each writer goroutine its own.
+// sampling sweep (or a whole scrape) and Commit applies it under one lock
+// acquisition, instead of one per sample. An Appender is not safe for
+// concurrent use; give each writer goroutine its own.
 type Appender struct {
-	st      *Store
-	buf     [shardCount][]pendingSample
-	pending int
+	st  *Store
+	buf []pendingSample
 }
 
 // Appender returns a new batch writer bound to the store.
@@ -33,41 +32,30 @@ func (st *Store) Appender() *Appender {
 
 // Append buffers one sample. Nothing is visible to readers until Commit.
 func (a *Appender) Append(metric string, labels Labels, t sim.Time, v float64) {
-	hash := hashSeries(metric, labels)
-	i := hash & (shardCount - 1)
-	a.buf[i] = append(a.buf[i], pendingSample{metric: metric, labels: labels, hash: hash, t: t, v: v})
-	a.pending++
+	a.buf = append(a.buf, pendingSample{metric: metric, labels: labels, hash: hashSeries(metric, labels), t: t, v: v})
 }
 
 // Pending reports the number of buffered samples.
-func (a *Appender) Pending() int { return a.pending }
+func (a *Appender) Pending() int { return len(a.buf) }
 
 // Commit flushes the buffer and reports how many samples landed. Samples
-// apply in per-shard append order; each shard lock is taken exactly once.
-// Out-of-order samples are rejected individually — the rest of the batch
-// still lands — and reported joined. The buffer is reusable after Commit
-// regardless of errors.
+// apply in append order — so series the batch creates take that creation
+// order — under one acquisition of the store lock. Out-of-order samples
+// are rejected individually — the rest of the batch still lands — and
+// reported joined. The buffer is reusable after Commit regardless of
+// errors.
 func (a *Appender) Commit() (int, error) {
 	applied := 0
 	var errs []error
-	for i := range a.buf {
-		pend := a.buf[i]
-		if len(pend) == 0 {
-			continue
+	a.st.mu.Lock()
+	for _, p := range a.buf {
+		if err := a.st.getOrCreate(p.hash, p.metric, p.labels).appendSample(p.t, p.v); err != nil {
+			errs = append(errs, err)
+		} else {
+			applied++
 		}
-		sh := &a.st.shards[i]
-		sh.mu.Lock()
-		for _, p := range pend {
-			s := a.st.getOrCreate(sh, p.hash, p.metric, p.labels)
-			if err := s.appendSample(p.t, p.v); err != nil {
-				errs = append(errs, err)
-			} else {
-				applied++
-			}
-		}
-		sh.mu.Unlock()
-		a.buf[i] = pend[:0]
 	}
-	a.pending = 0
+	a.st.mu.Unlock()
+	a.buf = a.buf[:0]
 	return applied, errors.Join(errs...)
 }

@@ -25,11 +25,12 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAppend measures concurrent batched ingestion: 8 writer
-// goroutines, each with its own Appender over a disjoint label set,
-// flushing every 64 samples — the shape of the simulator's sampling sweep
-// and the scraper's per-target batches. On the old single-mutex store this
-// serialized completely; the sharded store scales with shard count.
+// BenchmarkStoreAppend measures batched ingestion under lock contention: 8
+// writer goroutines, each with its own Appender over a disjoint label set,
+// flushing every 64 samples. No caller in the program writes concurrently —
+// the simulator's sampler and each scrape or recorder round are one
+// goroutine — so this is a stress shape for the store lock, not a
+// production path.
 func BenchmarkStoreAppend(b *testing.B) {
 	st := NewStore()
 	// RunParallel spawns p*GOMAXPROCS goroutines; aim for ≥8 writers.

@@ -8,39 +8,36 @@ import (
 // Prometheus in the paper's monitoring stack (Sec. 4): raw high-resolution
 // samples are kept for a recent window, while older data is downsampled to
 // coarse means so month-scale queries stay cheap. Both retention passes
-// work shard-by-shard, holding each shard's write lock exactly once, and
-// always replace sample slices wholesale so outstanding Select snapshots
-// keep observing the pre-compaction data.
+// hold the store write lock for the whole pass and replace sample slices
+// wholesale, so outstanding Select snapshots keep observing the
+// pre-compaction data.
 
 // DropBefore removes all samples strictly older than cutoff, enforcing a
 // retention limit. It reports the number of samples removed. Series left
 // empty are removed from the store and unlinked from every index.
 func (st *Store) DropBefore(cutoff sim.Time) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	removed := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		var dead []*memSeries
-		for _, chain := range sh.series {
-			for _, s := range chain {
-				n := 0
-				for n < len(s.samples) && s.samples[n].T < cutoff {
-					n++
-				}
-				if n == 0 {
-					continue
-				}
-				removed += n
-				s.samples = append([]Sample(nil), s.samples[n:]...)
-				if len(s.samples) == 0 {
-					dead = append(dead, s)
-				}
+	var dead []*memSeries
+	for _, chain := range st.series {
+		for _, s := range chain {
+			n := 0
+			for n < len(s.samples) && s.samples[n].T < cutoff {
+				n++
+			}
+			if n == 0 {
+				continue
+			}
+			removed += n
+			s.samples = append([]Sample(nil), s.samples[n:]...)
+			if len(s.samples) == 0 {
+				dead = append(dead, s)
 			}
 		}
-		for _, s := range dead {
-			st.removeSeries(sh, s)
-		}
-		sh.mu.Unlock()
+	}
+	for _, s := range dead {
+		st.removeSeries(s)
 	}
 	return removed
 }
@@ -54,32 +51,29 @@ func (st *Store) Compact(olderThan sim.Time, step sim.Time) int {
 	if step <= 0 {
 		return 0
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	reduced := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for _, chain := range sh.series {
-			for _, s := range chain {
-				cut := 0
-				for cut < len(s.samples) && s.samples[cut].T < olderThan {
-					cut++
-				}
-				if cut == 0 {
-					continue
-				}
-				old := &Series{Samples: s.samples[:cut]}
-				ds := Downsample(old, step)
-				if len(ds) >= cut {
-					continue // nothing gained
-				}
-				merged := make([]Sample, 0, len(ds)+len(s.samples)-cut)
-				merged = append(merged, ds...)
-				merged = append(merged, s.samples[cut:]...)
-				reduced += len(s.samples) - len(merged)
-				s.samples = merged
+	for _, chain := range st.series {
+		for _, s := range chain {
+			cut := 0
+			for cut < len(s.samples) && s.samples[cut].T < olderThan {
+				cut++
 			}
+			if cut == 0 {
+				continue
+			}
+			old := &Series{Samples: s.samples[:cut]}
+			ds := Downsample(old, step)
+			if len(ds) >= cut {
+				continue // nothing gained
+			}
+			merged := make([]Sample, 0, len(ds)+len(s.samples)-cut)
+			merged = append(merged, ds...)
+			merged = append(merged, s.samples[cut:]...)
+			reduced += len(s.samples) - len(merged)
+			s.samples = merged
 		}
-		sh.mu.Unlock()
 	}
 	return reduced
 }

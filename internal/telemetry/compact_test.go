@@ -103,9 +103,9 @@ func TestCompactReducesAndPreservesDailyMeans(t *testing.T) {
 	}
 }
 
-// fillMultiShard spreads series over metrics and nodes so every retention
-// test below exercises multiple shards.
-func fillMultiShard(t *testing.T) *Store {
+// fillMultiMetric spreads series over metrics and nodes so every retention
+// test below exercises several postings and label-value lists.
+func fillMultiMetric(t *testing.T) *Store {
 	t.Helper()
 	st := NewStore()
 	app := st.Appender()
@@ -127,7 +127,7 @@ func fillMultiShard(t *testing.T) *Store {
 // postings and label-value indexes must agree — Metrics goes empty, Select
 // by metric and by matcher find nothing, and recreation works.
 func TestDropBeforeIndexConsistency(t *testing.T) {
-	st := fillMultiShard(t)
+	st := fillMultiMetric(t)
 	if got := len(st.Metrics()); got != 3 {
 		t.Fatalf("Metrics = %d, want 3", got)
 	}
@@ -158,7 +158,7 @@ func TestDropBeforeIndexConsistency(t *testing.T) {
 // TestDropBeforePartialKeepsIndexes: dropping only part of the window must
 // leave every series selectable through both indexes.
 func TestDropBeforePartialKeepsIndexes(t *testing.T) {
-	st := fillMultiShard(t)
+	st := fillMultiMetric(t)
 	removed := st.DropBefore(24 * sim.Hour)
 	if want := 3 * 32 * 24; removed != want {
 		t.Errorf("removed %d, want %d", removed, want)
@@ -175,9 +175,9 @@ func TestDropBeforePartialKeepsIndexes(t *testing.T) {
 }
 
 // TestCompactIndexConsistency: compaction rewrites samples but must leave
-// every index entry intact, and the store appendable across shards.
+// every index entry intact, and the store appendable.
 func TestCompactIndexConsistency(t *testing.T) {
-	st := fillMultiShard(t)
+	st := fillMultiMetric(t)
 	before := st.SeriesCount()
 	reduced := st.Compact(48*sim.Hour, sim.Day)
 	if reduced <= 0 {
@@ -202,10 +202,10 @@ func TestCompactIndexConsistency(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderAcrossShardsAfterRetention: the out-of-order guard must
-// hold on compacted timelines in every shard.
-func TestOutOfOrderAcrossShardsAfterRetention(t *testing.T) {
-	st := fillMultiShard(t)
+// TestOutOfOrderAcrossSeriesAfterRetention: the out-of-order guard must
+// hold on the compacted timeline of every series.
+func TestOutOfOrderAcrossSeriesAfterRetention(t *testing.T) {
+	st := fillMultiMetric(t)
 	st.Compact(48*sim.Hour, sim.Day)
 	app := st.Appender()
 	for n := 0; n < 32; n++ {

@@ -5,15 +5,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"sapsim/internal/sim"
 )
-
-// shardCount is the number of independently locked shards. A power of two
-// so shard selection is a mask; fixed so shard assignment is stable for
-// the lifetime of a store.
-const shardCount = 16
 
 // memSeries is the mutable in-store representation of one series. The
 // exported Series type is a read-only snapshot of it.
@@ -21,13 +15,13 @@ type memSeries struct {
 	metric  string
 	labels  Labels
 	hash    uint64 // hashSeries(metric, labels)
-	seq     uint64 // global creation sequence, for deterministic Select order
+	seq     uint64 // store-wide creation sequence, for Dump's order
 	samples []Sample
 }
 
-// appendSample enforces strict time order. Called with the shard lock held.
-// The error path is the one place the string fingerprint survives — the
-// hot path works purely on the 64-bit hash.
+// appendSample enforces strict time order. Called with the store write
+// lock held. The error path is the one place the string fingerprint
+// survives — the hot path works purely on the 64-bit hash.
 func (s *memSeries) appendSample(t sim.Time, v float64) error {
 	if n := len(s.samples); n > 0 && s.samples[n-1].T >= t {
 		return fmt.Errorf("%w: %s%s t=%v last=%v",
@@ -41,43 +35,33 @@ func (s *memSeries) appendSample(t sim.Time, v float64) error {
 // snapshot at the current length: a later append writes past the cap (or
 // reallocates), never into the snapshot's window, and Compact/DropBefore
 // replace the backing array wholesale, so snapshots stay stable under
-// concurrent writes. Called with the shard lock held.
+// concurrent writes. Called with the store lock held.
 func (s *memSeries) snapshot() *Series {
 	n := len(s.samples)
 	return &Series{Metric: s.metric, Labels: s.labels, Samples: s.samples[:n:n]}
 }
 
-// shard is one lock domain: a fraction of the series keyed by fingerprint
-// hash, plus the indexes that make Select proportional to result size.
-type shard struct {
+// Store holds many series behind one lock and is safe for concurrent use.
+// Every writer in the program is a single goroutine — the simulator's
+// sampler, a scrape or recorder round, a dataset or snapshot load — so one
+// RWMutex serves them; readers share it.
+type Store struct {
 	mu sync.RWMutex
 	// series chains fingerprint collisions; chains are almost always
 	// length 1.
 	series map[uint64][]*memSeries
 	// postings indexes metric name → member series in creation order.
 	postings map[string][]*memSeries
-	// byLabel indexes label name → value → member series, so an equality
-	// matcher can seed candidate selection with the smallest posting list.
+	// byLabel indexes label name → value → member series in creation
+	// order, so an equality matcher can seed candidate selection with the
+	// smallest posting list.
 	byLabel map[string]map[string][]*memSeries
-}
-
-func (sh *shard) init() {
-	sh.series = make(map[uint64][]*memSeries)
-	sh.postings = make(map[string][]*memSeries)
-	sh.byLabel = make(map[string]map[string][]*memSeries)
-}
-
-// Store holds many series and is safe for concurrent use (the exporter
-// scrape path and the simulator may interleave).
-type Store struct {
-	shards [shardCount]shard
-	seq    atomic.Uint64
+	seq     uint64
 
 	// interned deduplicates label sets store-wide: every series created
 	// with an equal label set shares one backing slice. Entries are
 	// refcounted so retention can prune label sets whose last series is
 	// gone.
-	internMu sync.Mutex
 	interned map[uint64][]internEntry
 }
 
@@ -88,26 +72,22 @@ type internEntry struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	st := &Store{interned: make(map[uint64][]internEntry)}
-	for i := range st.shards {
-		st.shards[i].init()
+	return &Store{
+		series:   make(map[uint64][]*memSeries),
+		postings: make(map[string][]*memSeries),
+		byLabel:  make(map[string]map[string][]*memSeries),
+		interned: make(map[uint64][]internEntry),
 	}
-	return st
 }
 
 // ErrOutOfOrder is returned when appending a sample at or before the last
 // timestamp of its series.
 var ErrOutOfOrder = errors.New("telemetry: out-of-order sample")
 
-func (st *Store) shardFor(hash uint64) *shard {
-	return &st.shards[hash&(shardCount-1)]
-}
-
 // intern returns the canonical copy of a label set, taking one reference.
+// Called with the store write lock held.
 func (st *Store) intern(l Labels) Labels {
 	h := hashLabels(l)
-	st.internMu.Lock()
-	defer st.internMu.Unlock()
 	entries := st.interned[h]
 	for i := range entries {
 		if entries[i].labels.Equal(l) {
@@ -120,11 +100,9 @@ func (st *Store) intern(l Labels) Labels {
 }
 
 // releaseInterned drops one reference to a label set, pruning the entry
-// when its last series is gone.
+// when its last series is gone. Called with the store write lock held.
 func (st *Store) releaseInterned(l Labels) {
 	h := hashLabels(l)
-	st.internMu.Lock()
-	defer st.internMu.Unlock()
 	entries := st.interned[h]
 	for i := range entries {
 		if entries[i].labels.Equal(l) {
@@ -143,48 +121,48 @@ func (st *Store) releaseInterned(l Labels) {
 }
 
 // getOrCreate resolves (metric, labels) to its series, creating and
-// indexing it on first use. Called with the shard write lock held.
-func (st *Store) getOrCreate(sh *shard, hash uint64, metric string, labels Labels) *memSeries {
-	for _, s := range sh.series[hash] {
+// indexing it on first use. Called with the store write lock held.
+func (st *Store) getOrCreate(hash uint64, metric string, labels Labels) *memSeries {
+	for _, s := range st.series[hash] {
 		if s.metric == metric && s.labels.Equal(labels) {
 			return s
 		}
 	}
+	st.seq++
 	s := &memSeries{
 		metric: metric,
 		labels: st.intern(labels),
 		hash:   hash,
-		seq:    st.seq.Add(1),
+		seq:    st.seq,
 	}
-	sh.series[hash] = append(sh.series[hash], s)
-	sh.postings[metric] = append(sh.postings[metric], s)
+	st.series[hash] = append(st.series[hash], s)
+	st.postings[metric] = append(st.postings[metric], s)
 	for i := 0; i < len(s.labels.kv); i += 2 {
 		name, value := s.labels.kv[i], s.labels.kv[i+1]
-		vals := sh.byLabel[name]
+		vals := st.byLabel[name]
 		if vals == nil {
 			vals = make(map[string][]*memSeries)
-			sh.byLabel[name] = vals
+			st.byLabel[name] = vals
 		}
 		vals[value] = append(vals[value], s)
 	}
 	return s
 }
 
-// removeSeries unlinks a series from every index of its shard and releases
-// its interned label set. Called with the shard write lock held (the
-// shard-lock → internMu order matches getOrCreate).
-func (st *Store) removeSeries(sh *shard, s *memSeries) {
-	sh.series[s.hash] = filterOut(sh.series[s.hash], s)
-	if len(sh.series[s.hash]) == 0 {
-		delete(sh.series, s.hash)
+// removeSeries unlinks a series from every index and releases its
+// interned label set. Called with the store write lock held.
+func (st *Store) removeSeries(s *memSeries) {
+	st.series[s.hash] = filterOut(st.series[s.hash], s)
+	if len(st.series[s.hash]) == 0 {
+		delete(st.series, s.hash)
 	}
-	sh.postings[s.metric] = filterOut(sh.postings[s.metric], s)
-	if len(sh.postings[s.metric]) == 0 {
-		delete(sh.postings, s.metric)
+	st.postings[s.metric] = filterOut(st.postings[s.metric], s)
+	if len(st.postings[s.metric]) == 0 {
+		delete(st.postings, s.metric)
 	}
 	for i := 0; i < len(s.labels.kv); i += 2 {
 		name, value := s.labels.kv[i], s.labels.kv[i+1]
-		vals := sh.byLabel[name]
+		vals := st.byLabel[name]
 		if vals == nil {
 			continue
 		}
@@ -193,12 +171,14 @@ func (st *Store) removeSeries(sh *shard, s *memSeries) {
 			delete(vals, value)
 		}
 		if len(vals) == 0 {
-			delete(sh.byLabel, name)
+			delete(st.byLabel, name)
 		}
 	}
 	st.releaseInterned(s.labels)
 }
 
+// filterOut removes drop from list in place, preserving the order of the
+// rest — which keeps every index list in creation order.
 func filterOut(list []*memSeries, drop *memSeries) []*memSeries {
 	for i, s := range list {
 		if s == drop {
@@ -210,13 +190,12 @@ func filterOut(list []*memSeries, drop *memSeries) []*memSeries {
 
 // Append adds a sample to the series identified by (metric, labels),
 // creating it on first use. For bulk ingestion prefer an Appender, which
-// batches samples and takes each shard lock once per flush.
+// batches samples and takes the store lock once per flush.
 func (st *Store) Append(metric string, labels Labels, t sim.Time, v float64) error {
 	hash := hashSeries(metric, labels)
-	sh := st.shardFor(hash)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return st.getOrCreate(sh, hash, metric, labels).appendSample(t, v)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.getOrCreate(hash, metric, labels).appendSample(t, v)
 }
 
 // Matcher restricts a selection to series whose label equals a value.
@@ -226,103 +205,78 @@ type Matcher struct {
 }
 
 // Select returns snapshots of all series of the metric whose labels
-// satisfy every matcher, in deterministic (creation) order. The postings
-// and label-value indexes bound the work by the smallest candidate list,
-// so cost is proportional to matching series, not store size. Snapshots
-// are immune to subsequent appends and compactions.
+// satisfy every matcher, in creation order: every index list is kept in
+// creation order, and filtering preserves it. The postings and label-value
+// indexes bound the work by the smallest candidate list, so cost is
+// proportional to matching series, not store size. Snapshots are immune to
+// subsequent appends and compactions.
 func (st *Store) Select(metric string, matchers ...Matcher) []*Series {
-	type hit struct {
-		seq uint64
-		s   *Series
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	candidates := st.postings[metric]
+	// Seed from the smallest index posting list; every candidate is still
+	// verified against the metric and all matchers below. An empty-value
+	// matcher means "label absent", which the index cannot serve, so those
+	// fall through to the filter.
+	for _, m := range matchers {
+		if m.Value == "" {
+			continue
+		}
+		if byValue := st.byLabel[m.Name][m.Value]; len(byValue) < len(candidates) {
+			candidates = byValue
+		}
 	}
-	var hits []hit
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		candidates := sh.postings[metric]
-		// Seed from the smallest index posting list; every candidate is
-		// still verified against the metric and all matchers below. An
-		// empty-value matcher means "label absent", which the index cannot
-		// serve, so those fall through to the filter.
+	out := make([]*Series, 0, len(candidates))
+	for _, s := range candidates {
+		if s.metric != metric {
+			continue
+		}
+		ok := true
 		for _, m := range matchers {
-			if m.Value == "" {
-				continue
-			}
-			byValue := sh.byLabel[m.Name][m.Value]
-			if len(byValue) < len(candidates) {
-				candidates = byValue
+			if s.labels.Get(m.Name) != m.Value {
+				ok = false
+				break
 			}
 		}
-		for _, s := range candidates {
-			if s.metric != metric {
-				continue
-			}
-			ok := true
-			for _, m := range matchers {
-				if s.labels.Get(m.Name) != m.Value {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				hits = append(hits, hit{seq: s.seq, s: s.snapshot()})
-			}
+		if ok {
+			out = append(out, s.snapshot())
 		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].seq < hits[j].seq })
-	out := make([]*Series, 0, len(hits))
-	for _, h := range hits {
-		out = append(out, h.s)
 	}
 	return out
 }
 
 // Metrics returns the distinct metric names in the store, sorted.
 func (st *Store) Metrics() []string {
-	seen := map[string]bool{}
-	var out []string
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for metric := range sh.postings {
-			if !seen[metric] {
-				seen[metric] = true
-				out = append(out, metric)
-			}
-		}
-		sh.mu.RUnlock()
+	st.mu.RLock()
+	out := make([]string, 0, len(st.postings))
+	for metric := range st.postings {
+		out = append(out, metric)
 	}
+	st.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
 // SeriesCount reports the number of stored series.
 func (st *Store) SeriesCount() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, chain := range sh.series {
-			n += len(chain)
-		}
-		sh.mu.RUnlock()
+	for _, chain := range st.series {
+		n += len(chain)
 	}
 	return n
 }
 
 // SampleCount reports the total number of stored samples.
 func (st *Store) SampleCount() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, chain := range sh.series {
-			for _, s := range chain {
-				n += len(s.samples)
-			}
+	for _, chain := range st.series {
+		for _, s := range chain {
+			n += len(s.samples)
 		}
-		sh.mu.RUnlock()
 	}
 	return n
 }
@@ -339,30 +293,19 @@ type SeriesData struct {
 // Dump snapshots every series in global creation order. Together with Load
 // it round-trips a store through a snapshot.
 func (st *Store) Dump() []SeriesData {
-	type hit struct {
-		seq uint64
-		d   SeriesData
+	st.mu.RLock()
+	all := make([]*memSeries, 0, len(st.series))
+	for _, chain := range st.series {
+		all = append(all, chain...)
 	}
-	var hits []hit
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, chain := range sh.series {
-			for _, s := range chain {
-				samples := make([]Sample, len(s.samples))
-				copy(samples, s.samples)
-				hits = append(hits, hit{seq: s.seq, d: SeriesData{
-					Metric: s.metric, Labels: s.labels.Pairs(), Samples: samples,
-				}})
-			}
-		}
-		sh.mu.RUnlock()
+	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	out := make([]SeriesData, len(all))
+	for i, s := range all {
+		samples := make([]Sample, len(s.samples))
+		copy(samples, s.samples)
+		out[i] = SeriesData{Metric: s.metric, Labels: s.labels.Pairs(), Samples: samples}
 	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].seq < hits[j].seq })
-	out := make([]SeriesData, 0, len(hits))
-	for _, h := range hits {
-		out = append(out, h.d)
-	}
+	st.mu.RUnlock()
 	return out
 }
 
@@ -370,7 +313,9 @@ func (st *Store) Dump() []SeriesData {
 // dumped order so creation sequence — and with it Select order — survives
 // the round trip.
 func (st *Store) Load(data []SeriesData) error {
-	if st.SeriesCount() != 0 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.series) != 0 {
 		return errors.New("telemetry: Load into a non-empty store")
 	}
 	for _, d := range data {
@@ -378,19 +323,15 @@ func (st *Store) Load(data []SeriesData) error {
 		if err != nil {
 			return fmt.Errorf("telemetry: load %s: %w", d.Metric, err)
 		}
-		hash := hashSeries(d.Metric, labels)
-		sh := st.shardFor(hash)
-		sh.mu.Lock()
-		s := st.getOrCreate(sh, hash, d.Metric, labels)
+		s := st.getOrCreate(hashSeries(d.Metric, labels), d.Metric, labels)
 		s.samples = append(s.samples[:0], d.Samples...)
-		sh.mu.Unlock()
 	}
 	return nil
 }
 
 // Querier is the read side of the store: the interface the analysis layer
 // and the PromQL evaluator consume, decoupling them from the concrete
-// sharded implementation.
+// store.
 type Querier interface {
 	// Select returns immutable snapshots of the matching series in a
 	// deterministic order.

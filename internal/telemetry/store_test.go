@@ -3,14 +3,16 @@ package telemetry
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"sapsim/internal/sim"
 )
 
-// TestSelectSnapshotImmutable verifies the data race fixed by the sharded
-// store: series handed out by Select must not observe later appends.
+// TestSelectSnapshotImmutable: series handed out by Select must not
+// observe later appends or compactions.
 func TestSelectSnapshotImmutable(t *testing.T) {
 	st := NewStore()
 	l := MustLabels("node", "n1")
@@ -186,12 +188,12 @@ func TestInternPruning(t *testing.T) {
 		}
 	}
 	st.DropBefore(sim.Day) // kills all 100 VM series, keeps the survivor
-	st.internMu.Lock()
+	st.mu.Lock()
 	entries := 0
 	for _, chain := range st.interned {
 		entries += len(chain)
 	}
-	st.internMu.Unlock()
+	st.mu.Unlock()
 	if entries != 1 {
 		t.Errorf("intern table holds %d label sets after retention, want 1", entries)
 	}
@@ -213,8 +215,25 @@ func TestSelectEmptyValueMatcher(t *testing.T) {
 	}
 }
 
-// TestSelectDeterministicOrder: creation order survives sharding.
+// TestSelectDeterministicOrder: Select and Dump return series in creation
+// order — one Append at a time, across metrics created interleaved in one
+// Appender batch, when seeded from the label-value index, after retention
+// removes series, and across a Dump/Load round trip.
 func TestSelectDeterministicOrder(t *testing.T) {
+	nodesOf := func(series []*Series) []string {
+		out := make([]string, len(series))
+		for i, s := range series {
+			out[i] = s.Labels.Get("node")
+		}
+		return out
+	}
+	check := func(what string, got, want []string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: order %v, want %v (creation order lost)", what, got, want)
+		}
+	}
+
 	st := NewStore()
 	want := make([]string, 0, 64)
 	for i := 0; i < 64; i++ {
@@ -224,15 +243,90 @@ func TestSelectDeterministicOrder(t *testing.T) {
 		}
 		want = append(want, name)
 	}
-	got := st.Select("cpu")
-	if len(got) != len(want) {
-		t.Fatalf("got %d series, want %d", len(got), len(want))
+	check("single appends", nodesOf(st.Select("cpu")), want)
+
+	// Three metrics created interleaved in one batch, under node names
+	// whose creation order is neither sorted nor hash order.
+	metrics := []string{"cpu", "mem", "net"}
+	labels := func(i int) Labels {
+		return MustLabels("node", fmt.Sprintf("n%02d", i*37%64), "cluster", fmt.Sprintf("bb-%d", i%4))
 	}
-	for i, s := range got {
-		if s.Labels.Get("node") != want[i] {
-			t.Fatalf("series %d = %s, want %s (creation order lost)",
-				i, s.Labels.Get("node"), want[i])
+	st = NewStore()
+	app := st.Appender()
+	created := make([]string, 0, 64)
+	for i := 0; i < 64; i++ {
+		created = append(created, labels(i).Get("node"))
+		for _, metric := range metrics {
+			app.Append(metric, labels(i), sim.Hour, 1)
 		}
+	}
+	if _, err := app.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, metric := range metrics {
+		check("interleaved "+metric, nodesOf(st.Select(metric)), created)
+	}
+
+	// An equality matcher seeds the selection from the label-value list
+	// (48 bb-1 series over all metrics, against 64 postings for mem).
+	var bb1 []string
+	for i, node := range created {
+		if i%4 == 1 {
+			bb1 = append(bb1, node)
+		}
+	}
+	check("matcher", nodesOf(st.Select("mem", Matcher{"cluster", "bb-1"})), bb1)
+
+	// Retention removes the even-indexed series; series created afterwards
+	// follow the survivors.
+	for i := 1; i < 64; i += 2 {
+		for _, metric := range metrics {
+			app.Append(metric, labels(i), 3*sim.Hour, 1)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		app.Append("cpu", MustLabels("node", fmt.Sprintf("x%d", 3-i)), 4*sim.Hour, 1)
+	}
+	if _, err := app.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if removed := st.DropBefore(2 * sim.Hour); removed != 3*64 {
+		t.Fatalf("DropBefore removed %d samples, want %d", removed, 3*64)
+	}
+	var survivors []string
+	for i := 1; i < 64; i += 2 {
+		survivors = append(survivors, created[i])
+	}
+	check("after retention, mem", nodesOf(st.Select("mem")), survivors)
+	check("after retention, cpu", nodesOf(st.Select("cpu")), append(survivors, "x3", "x2", "x1", "x0"))
+	check("after retention, matcher", nodesOf(st.Select("net", Matcher{"cluster", "bb-1"})), bb1)
+
+	// Dump lists every series in store-wide creation order, and a loaded
+	// copy dumps and selects identically.
+	var wantDump []string
+	for _, node := range survivors {
+		for _, metric := range metrics {
+			wantDump = append(wantDump, metric+"/"+node)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		wantDump = append(wantDump, fmt.Sprintf("cpu/x%d", 3-i))
+	}
+	dump := st.Dump()
+	var gotDump []string
+	for _, d := range dump {
+		gotDump = append(gotDump, d.Metric+"/"+d.Labels[slices.Index(d.Labels, "node")+1])
+	}
+	check("dump", gotDump, wantDump)
+	loaded := NewStore()
+	if err := loaded.Load(dump); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.Dump(), dump) {
+		t.Error("Dump after Load differs from the dump loaded")
+	}
+	for _, metric := range metrics {
+		check("loaded "+metric, nodesOf(loaded.Select(metric)), nodesOf(st.Select(metric)))
 	}
 }
 
@@ -264,26 +358,5 @@ func TestHashMatchesStringFingerprint(t *testing.T) {
 					i, j, fpEq, hashEq)
 			}
 		}
-	}
-}
-
-// TestSeriesSpreadAcrossShards: a realistic population should not collapse
-// into one shard (sanity check on the hash distribution).
-func TestSeriesSpreadAcrossShards(t *testing.T) {
-	st := NewStore()
-	for i := 0; i < 256; i++ {
-		l := MustLabels("hostsystem", fmt.Sprintf("node-%03d", i))
-		if err := st.Append("cpu", l, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	occupied := 0
-	for i := range st.shards {
-		if len(st.shards[i].series) > 0 {
-			occupied++
-		}
-	}
-	if occupied < shardCount/2 {
-		t.Errorf("256 series landed in only %d of %d shards", occupied, shardCount)
 	}
 }

@@ -4,13 +4,12 @@
 // simulator, and answers the range queries and aggregations the paper's
 // analysis requires (daily means, p95, max over node and VM populations).
 //
-// The store is sharded: series are distributed over a fixed number of
-// shards by a 64-bit FNV-1a fingerprint of (metric, labels), each shard
-// keeping its own lock, a metric→series postings index, and a label-value
-// index, so concurrent ingestion scales with shard count and Select walks
-// only candidate series instead of the whole store. Batch ingestion goes
-// through an Appender (one lock acquisition per shard per flush); reads
-// receive immutable snapshots.
+// Series are keyed by a 64-bit FNV-1a fingerprint of (metric, labels) and
+// indexed by a metric→series postings index and a label-value index, so
+// Select walks only candidate series instead of the whole store. One lock
+// guards the store; every writer is a single goroutine. Batch ingestion
+// goes through an Appender (one lock acquisition per flush); reads receive
+// immutable snapshots.
 package telemetry
 
 import (
