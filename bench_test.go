@@ -1,9 +1,9 @@
 package sapsim
 
-// This file is the benchmark harness required by DESIGN.md: one testing.B
-// benchmark per paper table and figure (regenerating the artifact from the
-// shared 30-day fixture run), plus the A1-A7 ablation benches for the
-// design choices the paper's guidance section calls out.
+// This file is the benchmark harness: one testing.B benchmark per paper
+// table and figure (regenerating the artifact from the shared 30-day
+// fixture run), plus the A1-A7 ablation benches for the design choices the
+// paper's guidance section calls out.
 //
 // Figure/table benches measure the analysis+render step over the fixture's
 // telemetry; ablation benches run full (small) simulations per iteration

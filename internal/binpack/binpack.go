@@ -3,9 +3,10 @@
 // (Sec. 3.2): First-Fit, Best-Fit, Worst-Fit, and Next-Fit, extended to two
 // resource dimensions (vCPU, memory) as required for VM-to-host assignment.
 //
-// The ablation benches (DESIGN.md, A5) compare their packing efficiency on
-// the paper's flavor mix; the Nova scheduler uses the same Best-Fit /
-// Worst-Fit primitives through its weigher configuration.
+// The bin-packing ablation bench (BenchmarkAblationBinPacking, A5, in the
+// root package) compares their packing efficiency on the paper's flavor
+// mix. The Nova scheduler does not use this package; its weighers pack or
+// spread on their own.
 package binpack
 
 import (

@@ -198,8 +198,6 @@ type sampler struct {
 	// otherwise.
 	hostLabels map[topology.NodeID]telemetry.Labels
 	vmLabels   map[vmmodel.ID]telemetry.Labels
-	// contention is sampleVMs' scratch map, cleared and refilled per sweep.
-	contention map[topology.NodeID]float64
 	// prof receives appended-sample counts: the sampling phases' work-unit
 	// proxy (each append is one buffered sample landing in the store).
 	prof *engprof.Collector
@@ -212,7 +210,6 @@ func newSampler(res *Result, cfg Config, prof *engprof.Collector) *sampler {
 		app:        res.Store.Appender(),
 		hostLabels: make(map[topology.NodeID]telemetry.Labels),
 		vmLabels:   make(map[vmmodel.ID]telemetry.Labels),
-		contention: make(map[topology.NodeID]float64),
 		prof:       prof,
 	}
 }
@@ -264,40 +261,32 @@ func (s *sampler) sampleHosts(now sim.Time) {
 	}
 }
 
+// sampleVMs walks hosts and each host's VMs in ID order, so the series a
+// sweep creates — and with them Dump and encoded snapshots — come out in
+// the same order on every run with the same seed. live holds exactly the
+// resident VMs; it only supplies the instance count.
 func (s *sampler) sampleVMs(now sim.Time, live map[vmmodel.ID]*vmmodel.VM) {
-	fleet := s.res.Fleet
 	var ops int64
-	// Snapshot host contention once per host for throttling. When the VM
-	// sweep shares an instant with the host sweep this reads the snapshot
-	// cache rather than re-walking every host's VMs.
-	contention := s.contention
-	clear(contention)
-	fleet.EachHost(func(h *esx.Host) {
-		m := h.Snapshot(now, s.cfg.VMSampleEvery)
-		contention[h.Node.ID] = m.CPUContentionPct
+	s.res.Fleet.EachHost(func(h *esx.Host) {
+		// When the VM sweep shares an instant with the host sweep this
+		// reads the snapshot cache rather than re-walking the host's VMs.
+		contention := h.Snapshot(now, s.cfg.VMSampleEvery).CPUContentionPct
+		h.EachVM(func(vm *vmmodel.VM) {
+			l, ok := s.vmLabels[vm.ID]
+			if !ok {
+				l = telemetry.MustLabels(
+					"virtualmachine", string(vm.ID),
+					"flavor", vm.Flavor.Name,
+					"project", vm.Project,
+				)
+				s.vmLabels[vm.ID] = l
+			}
+			u := h.VMSnapshot(vm, now, s.cfg.VMSampleEvery, contention)
+			s.app.Append(exporter.MetricVMCPURatio, l, now, u.CPUUsageRatio)
+			s.app.Append(exporter.MetricVMMemRatio, l, now, u.MemUsageRatio)
+			ops += 2
+		})
 	})
-	for _, vm := range live {
-		if vm.Node == nil {
-			continue
-		}
-		h, err := fleet.Host(vm.Node.ID)
-		if err != nil {
-			continue
-		}
-		l, ok := s.vmLabels[vm.ID]
-		if !ok {
-			l = telemetry.MustLabels(
-				"virtualmachine", string(vm.ID),
-				"flavor", vm.Flavor.Name,
-				"project", vm.Project,
-			)
-			s.vmLabels[vm.ID] = l
-		}
-		u := h.VMSnapshot(vm, now, s.cfg.VMSampleEvery, contention[vm.Node.ID])
-		s.app.Append(exporter.MetricVMCPURatio, l, now, u.CPUUsageRatio)
-		s.app.Append(exporter.MetricVMMemRatio, l, now, u.MemUsageRatio)
-		ops += 2
-	}
 	s.app.Append(exporter.MetricInstancesTotal, telemetry.Labels{}, now, float64(len(live)))
 	_, _ = s.app.Commit()
 	if s.prof != nil {

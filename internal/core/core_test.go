@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sapsim/internal/analysis"
@@ -108,6 +109,11 @@ func TestRunDeterministic(t *testing.T) {
 		if sa.Samples[i] != sb.Samples[i] {
 			t.Fatalf("sample %d differs: %+v vs %+v", i, sa.Samples[i], sb.Samples[i])
 		}
+	}
+	// The whole store, series creation order included, is identical: Dump
+	// feeds the encoded snapshot.
+	if !reflect.DeepEqual(a.Store.Dump(), b.Store.Dump()) {
+		t.Error("same-seed runs dump different stores")
 	}
 }
 

@@ -7,8 +7,10 @@
 //
 //	metric,ts_seconds,value,labels
 //
-// where labels is a semicolon-separated k=v list with values consistently
-// hashed for the configured label keys.
+// where ts_seconds is exact decimal seconds (up to nine fractional digits,
+// one per nanosecond), and labels is a semicolon-separated k=v list with
+// values consistently hashed for the configured label keys. A backslash
+// escapes a backslash or ';' in values, and '=' too in names.
 package dataset
 
 import (
@@ -17,6 +19,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,7 +86,7 @@ func Write(w io.Writer, store *telemetry.Store, opts WriteOptions) error {
 			for _, smp := range s.Samples {
 				rec := []string{
 					metric,
-					strconv.FormatFloat(smp.T.Seconds(), 'f', -1, 64),
+					FormatTime(smp.T),
 					strconv.FormatFloat(smp.V, 'g', -1, 64),
 					labelStr,
 				}
@@ -97,48 +100,38 @@ func Write(w io.Writer, store *telemetry.Store, opts WriteOptions) error {
 	return cw.Error()
 }
 
-// labelKeys extracts the sorted label keys of a set. telemetry.Labels does
-// not expose iteration, so parse its canonical String form.
+// EncodeLabels renders a label set as the labels column: name=value pairs
+// in name order, joined by ';', escaped as the schema describes.
+func EncodeLabels(l telemetry.Labels) string {
+	return encodeLabels(l, WriteOptions{})
+}
+
 func encodeLabels(l telemetry.Labels, opts WriteOptions) string {
-	str := l.String() // {k="v",k2="v2"}
-	inner := strings.TrimSuffix(strings.TrimPrefix(str, "{"), "}")
-	if inner == "" {
-		return ""
-	}
-	parts := splitTopLevel(inner)
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		eq := strings.IndexByte(p, '=')
-		key := p[:eq]
-		val, _ := strconv.Unquote(p[eq+1:])
+	pairs := l.Pairs()
+	var b strings.Builder
+	for i := 0; i < len(pairs); i += 2 {
+		key, val := pairs[i], pairs[i+1]
 		if opts.Anonymizer != nil && opts.AnonymizeLabels[key] {
 			val = opts.Anonymizer.Hash(val)
 		}
-		out = append(out, key+"="+val)
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		writeEscaped(&b, key, `\;=`)
+		b.WriteByte('=')
+		writeEscaped(&b, val, `\;`)
 	}
-	return strings.Join(out, ";")
+	return b.String()
 }
 
-// splitTopLevel splits on commas not inside quotes.
-func splitTopLevel(s string) []string {
-	var out []string
-	depth := false
-	start := 0
+// writeEscaped writes s with a backslash before every byte in special.
+func writeEscaped(b *strings.Builder, s, special string) {
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
+		if strings.IndexByte(special, s[i]) >= 0 {
+			b.WriteByte('\\')
 		}
+		b.WriteByte(s[i])
 	}
-	out = append(out, s[start:])
-	return out
 }
 
 // Read imports a dataset CSV into a fresh telemetry store.
@@ -163,9 +156,9 @@ func Read(r io.Reader) (*telemetry.Store, error) {
 			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
 		}
 		line++
-		ts, err := strconv.ParseFloat(rec[1], 64)
+		t, err := ParseTime(rec[1])
 		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad timestamp %q", line, rec[1])
+			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
 		}
 		val, err := strconv.ParseFloat(rec[2], 64)
 		if err != nil {
@@ -175,7 +168,6 @@ func Read(r io.Reader) (*telemetry.Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
 		}
-		t := sim.Time(ts * float64(sim.Second))
 		if err := store.Append(rec[0], labels, t, val); err != nil {
 			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
 		}
@@ -183,17 +175,106 @@ func Read(r io.Reader) (*telemetry.Store, error) {
 	return store, nil
 }
 
+// decodeLabels parses the labels column written by EncodeLabels.
 func decodeLabels(s string) (telemetry.Labels, error) {
 	if s == "" {
 		return telemetry.Labels{}, nil
 	}
 	var pairs []string
-	for _, part := range strings.Split(s, ";") {
-		eq := strings.IndexByte(part, '=')
-		if eq < 0 {
-			return telemetry.Labels{}, fmt.Errorf("malformed label %q", part)
+	start, eq := 0, -1
+	for i := 0; i <= len(s); i++ {
+		switch {
+		case i == len(s) || s[i] == ';':
+			if eq < 0 {
+				return telemetry.Labels{}, fmt.Errorf("malformed label %q", s[start:i])
+			}
+			key, err := unescape(s[start:eq])
+			if err != nil {
+				return telemetry.Labels{}, err
+			}
+			val, err := unescape(s[eq+1 : i])
+			if err != nil {
+				return telemetry.Labels{}, err
+			}
+			pairs = append(pairs, key, val)
+			start, eq = i+1, -1
+		case s[i] == '\\':
+			if i+1 < len(s) {
+				i++ // unescape validates the escaped byte
+			}
+		case s[i] == '=' && eq < 0:
+			eq = i
 		}
-		pairs = append(pairs, part[:eq], part[eq+1:])
 	}
 	return telemetry.NewLabels(pairs...)
+}
+
+// unescape drops the backslash before each escaped byte.
+func unescape(s string) (string, error) {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s, nil
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' {
+			i++
+			if i == len(s) || strings.IndexByte(`\;=`, s[i]) < 0 {
+				return "", fmt.Errorf("bad escape in label %q", s)
+			}
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String(), nil
+}
+
+// FormatTime renders t as the ts_seconds column: exact decimal seconds,
+// with trailing fractional zeros (and a bare point) dropped.
+func FormatTime(t sim.Time) string {
+	ns := uint64(t)
+	sign := ""
+	if t < 0 {
+		sign, ns = "-", -ns
+	}
+	out := sign + strconv.FormatUint(ns/uint64(sim.Second), 10)
+	if frac := ns % uint64(sim.Second); frac != 0 {
+		out += strings.TrimRight(fmt.Sprintf(".%09d", frac), "0")
+	}
+	return out
+}
+
+// maxSeconds keeps a parsed timestamp, fraction included, inside sim.Time.
+const maxSeconds = math.MaxInt64/int64(sim.Second) - 1
+
+// ParseTime parses a ts_seconds value: optionally signed decimal seconds.
+// Digits past the ninth fractional one round to the nearest nanosecond.
+func ParseTime(s string) (sim.Time, error) {
+	whole, frac, _ := strings.Cut(s, ".")
+	sec, err := strconv.ParseInt(whole, 10, 64)
+	if err != nil || sec > maxSeconds || sec < -maxSeconds || !allDigits(frac) {
+		return 0, fmt.Errorf("bad timestamp %q", s)
+	}
+	var ns int64
+	for i := 0; i < 9; i++ {
+		ns *= 10
+		if i < len(frac) {
+			ns += int64(frac[i] - '0')
+		}
+	}
+	if len(frac) > 9 && frac[9] >= '5' {
+		ns++
+	}
+	t := sim.Time(sec) * sim.Second
+	if strings.HasPrefix(whole, "-") {
+		return t - sim.Time(ns), nil
+	}
+	return t + sim.Time(ns), nil
+}
+
+func allDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"time"
 
+	"sapsim/internal/dataset"
 	"sapsim/internal/sim"
 	"sapsim/internal/telemetry"
 )
@@ -187,9 +188,9 @@ func (rec *Recording) scrape(target string, t sim.Time) (int, error) {
 		}
 		if err := rec.cw.Write([]string{
 			smp.Name,
-			strconv.FormatFloat(t.Seconds(), 'f', -1, 64),
+			dataset.FormatTime(t),
 			strconv.FormatFloat(smp.Value, 'g', -1, 64),
-			flatLabels(labels),
+			dataset.EncodeLabels(labels),
 		}); err != nil {
 			return n, err
 		}
@@ -262,11 +263,11 @@ func datasetHighWater(path string) (sim.Time, error) {
 		if err != nil {
 			return 0, err
 		}
-		secs, err := strconv.ParseFloat(row[1], 64)
+		t, err := dataset.ParseTime(row[1])
 		if err != nil {
-			return 0, fmt.Errorf("bad timestamp %q", row[1])
+			return 0, err
 		}
-		if t := sim.Time(secs * float64(sim.Second)); t > max {
+		if t > max {
 			max = t
 		}
 	}
@@ -279,22 +280,4 @@ func instanceLabel(target string) string {
 		return u.Host
 	}
 	return target
-}
-
-// flatLabels renders a label set in the dataset CSV form (k=v;k2=v2).
-func flatLabels(l telemetry.Labels) string {
-	pairs := l.Pairs()
-	if len(pairs) == 0 {
-		return ""
-	}
-	out := make([]byte, 0, 64)
-	for i := 0; i < len(pairs); i += 2 {
-		if i > 0 {
-			out = append(out, ';')
-		}
-		out = append(out, pairs[i]...)
-		out = append(out, '=')
-		out = append(out, pairs[i+1]...)
-	}
-	return string(out)
 }

@@ -103,7 +103,8 @@ func TestRecorderRecordsFleet(t *testing.T) {
 // file reloads through dataset.Read into a store equivalent to the live
 // one.
 func TestRecorderDatasetDurableAndReloadable(t *testing.T) {
-	srv := httptest.NewServer(&metricsServer{body: "m{k=\"v\"} 7\n"})
+	// The label value holds the dataset's pair separator.
+	srv := httptest.NewServer(&metricsServer{body: "m{k=\"v;w\"} 7\n"})
 	defer srv.Close()
 	dir := t.TempDir()
 	clock := time.Unix(0, 0)
@@ -171,6 +172,9 @@ func TestRecorderDatasetDurableAndReloadable(t *testing.T) {
 	}
 	if got := series[0].Samples[2].T; got != 2*sim.Second+sim.Time(time.Millisecond) {
 		t.Errorf("resumed sample at %v, want 2.001s", got)
+	}
+	if got := series[0].Labels.Get("k"); got != "v;w" {
+		t.Errorf("reloaded k = %q, want %q", got, "v;w")
 	}
 	host := strings.TrimPrefix(srv.URL, "http://")
 	if series[0].Labels.Get("instance") != host {

@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"sapsim/internal/events"
 	"sapsim/internal/sim"
@@ -30,8 +32,9 @@ import (
 )
 
 // FormatVersion is bumped whenever the serialized layout changes
-// incompatibly; Decode rejects snapshots from other versions.
-const FormatVersion = 1
+// incompatibly; Decode rejects snapshots from other versions. v2 encodes
+// every map as a key-sorted SortedMap.
+const FormatVersion = 2
 
 // magic frames a snapshot stream. The trailing byte is the format version's
 // low byte so even pre-header readers fail loudly on a version mismatch.
@@ -72,10 +75,45 @@ type SchedulerState struct {
 	Scheduled  int
 	Failed     int
 	Retries    int
-	Eliminated map[string]int
+	Eliminated SortedMap[int]
 	// Contention is the per-BB contention view fed by the sampler
 	// (Config.ContentionFeed), keyed by building-block ID.
-	Contention map[string]float64
+	Contention SortedMap[float64]
+}
+
+// SortedMap is a string-keyed map that gob-encodes its entries in key
+// order. gob writes plain maps in iteration order, which would make two
+// captures of the same state encode to different bytes — and defeat the
+// content-addressed dedup of snapshot blobs.
+type SortedMap[V any] map[string]V
+
+type sortedEntry[V any] struct {
+	Key string
+	Val V
+}
+
+// GobEncode implements gob.GobEncoder.
+func (m SortedMap[V]) GobEncode() ([]byte, error) {
+	entries := make([]sortedEntry[V], 0, len(m))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		entries = append(entries, sortedEntry[V]{k, m[k]})
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(entries)
+	return buf.Bytes(), err
+}
+
+// GobDecode implements gob.GobDecoder.
+func (m *SortedMap[V]) GobDecode(b []byte) error {
+	var entries []sortedEntry[V]
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&entries); err != nil {
+		return err
+	}
+	*m = make(SortedMap[V], len(entries))
+	for _, e := range entries {
+		(*m)[e.Key] = e.Val
+	}
+	return nil
 }
 
 // Snapshot is the complete mid-run state of a core.Simulation, captured at
@@ -100,10 +138,10 @@ type Snapshot struct {
 	Arrived int
 	VMs     []VMState
 	// Down holds the scenario layer's out-of-service claim counts per node.
-	Down map[string]int
+	Down SortedMap[int]
 	// RNGs holds the marshaled state of every registered live RNG stream,
 	// keyed by its registration name.
-	RNGs map[string][]byte
+	RNGs SortedMap[[]byte]
 	// Counters and Sched carry the scalar accumulators.
 	Counters Counters
 	Sched    SchedulerState

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -22,7 +23,9 @@ func testSnapshot() *Snapshot {
 		Down:     map[string]int{"node-9": 1},
 		RNGs:     map[string][]byte{"workload": {1, 2, 3}, "drs": {4, 5}},
 		Counters: Counters{Resizes: 4, DRSMigrations: 9, DRSPasses: 6},
-		Sched:    SchedulerState{Scheduled: 17, Retries: 2, Eliminated: map[string]int{"ram": 5}},
+		Sched: SchedulerState{Scheduled: 17, Retries: 2,
+			Eliminated: map[string]int{"ram": 5, "cpu": 2, "az": 1},
+			Contention: map[string]float64{"bb-0": 1.5, "bb-1": 0, "bb-2": 7.25}},
 	}
 }
 
@@ -39,12 +42,19 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip drifted:\n got %+v\nwant %+v", got, want)
 	}
-	// Gob encodes map entries in randomized order, so two encodings of the
-	// same snapshot need not be byte-equal — which is why blobs are
-	// content-addressed AFTER encoding, never by re-encoding. Digest of a
-	// given blob is of course stable.
 	if d1, d2 := Digest(blob), Digest(blob); d1 != d2 || len(d1) != 64 {
 		t.Fatalf("Digest unstable or malformed: %q vs %q", d1, d2)
+	}
+	// Maps encode in key order, so re-encoding the same state gives the
+	// same bytes (plain gob maps would follow iteration order).
+	for i := 0; i < 10; i++ {
+		again, err := EncodeBytes(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatal("re-encoding the same snapshot gave different bytes")
+		}
 	}
 }
 

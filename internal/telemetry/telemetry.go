@@ -1,15 +1,16 @@
 // Package telemetry is an in-memory, labelled time-series store modeled on
-// the Prometheus + Thanos monitoring backend of the SAP Cloud Infrastructure
+// the Prometheus monitoring backend of the SAP Cloud Infrastructure
 // (Sec. 4). It stores samples appended by exporters or directly by the
 // simulator, and answers the range queries and aggregations the paper's
 // analysis requires (daily means, p95, max over node and VM populations).
 //
 // Series are keyed by a 64-bit FNV-1a fingerprint of (metric, labels) and
 // indexed by a metric→series postings index and a label-value index, so
-// Select walks only candidate series instead of the whole store. One lock
-// guards the store; every writer is a single goroutine. Batch ingestion
-// goes through an Appender (one lock acquisition per flush); reads receive
-// immutable snapshots.
+// Select walks only candidate series instead of the whole store. The store
+// is append-only — the paper's dataset is the full-resolution record, so
+// nothing downsamples or expires it. One lock guards the store; every
+// writer is a single goroutine. Batch ingestion goes through an Appender
+// (one lock acquisition per flush); reads receive immutable snapshots.
 package telemetry
 
 import (
@@ -199,7 +200,7 @@ func fingerprint(metric string, l Labels) string {
 
 // Series is one time series: a metric name, a label set, and samples in
 // strictly increasing time order. Series returned by Store.Select are
-// immutable snapshots: later appends or compactions never mutate them.
+// immutable snapshots: later appends never mutate them.
 type Series struct {
 	Metric  string
 	Labels  Labels

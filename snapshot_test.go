@@ -1,6 +1,7 @@
 package sapsim
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -91,6 +92,27 @@ func TestSessionResumeEquivalence(t *testing.T) {
 	blob, err := EncodeSnapshotBytes(snap)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A second same-seed session stepped to the same tick encodes the same
+	// bytes, so content-addressed snapshot blobs deduplicate.
+	twin, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	if _, err := twin.Step(24); err != nil {
+		t.Fatal(err)
+	}
+	twinSnap, err := twin.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twinBlob, err := EncodeSnapshotBytes(twinSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(twinBlob, blob) {
+		t.Error("same-seed sessions at the same tick encode different snapshot bytes")
 	}
 	decoded, err := DecodeSnapshotBytes(blob)
 	if err != nil {
