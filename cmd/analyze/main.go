@@ -11,8 +11,8 @@
 //	analyze -critpath trace.json
 //	analyze -engprof DIR|FILE [-against DIR|FILE] [-top N] [-critpath trace.json]
 //
-// With -scrape, analyze pulls live Prometheus exposition endpoints (a
-// dispatchd's and any simworker -metrics listeners) into a fresh telemetry
+// With -scrape, analyze pulls live Prometheus exposition endpoints (the
+// dispatcher's and any simworker -metrics listeners) into a fresh telemetry
 // store instead of loading a CSV, and answers -query against the fleet's
 // current state — e.g. `sum(dispatch_queue_jobs)` mid-sweep.
 //
@@ -20,7 +20,7 @@
 // flight recorder — appending every sample to DIR/fleet.csv until
 // interrupted (or -for elapses). -fleet replays such a recording into
 // queue-depth and worker-utilization timelines; -critpath analyzes a
-// Chrome trace exported by sweep/dispatchd -trace: critical path through
+// Chrome trace exported by sweep -trace: critical path through
 // the slowest cell plus a per-phase latency breakdown.
 //
 // With -engprof, analyze aggregates the per-cell engine self-profiles a

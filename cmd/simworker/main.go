@@ -1,12 +1,13 @@
 // Command simworker is the worker half of the dispatcher split (the simd
-// of SIMQ): it books sweep cells from a dispatchd, runs each through the
-// step-driven sapsim Session, sends lease-renewing heartbeats carrying a
-// pointer to its newest mid-run engine snapshot, uploads every artifact
-// body into the dispatcher's content-addressed store (deduplicated: a
-// HEAD probe skips blobs the store already holds), and completes each
-// cell with its metrics plus digests. Workers are stateless: start as many as you have
-// machines, kill them freely — a dead worker's cell re-books after its
-// lease expires.
+// of SIMQ): it books sweep cells from a dispatcher (`sweep -dispatch`),
+// runs each through the step-driven sapsim Session, sends lease-renewing
+// heartbeats carrying a pointer to its newest mid-run engine snapshot,
+// uploads every artifact body into the dispatcher's content-addressed
+// store (deduplicated: a HEAD probe skips blobs the store already holds),
+// and completes each cell with its metrics plus digests. Workers are
+// stateless: start as many as you have machines, kill them freely — a
+// dead worker's cell re-books after its lease expires and warm-resumes
+// from the dead worker's newest uploaded snapshot.
 //
 // -jobs advertises the worker's capacity on every booking: the dispatcher
 // weights bookings by it, leasing an N-job worker up to N cells at once,
@@ -15,7 +16,8 @@
 // Usage:
 //
 //	simworker -dispatcher http://host:9090 [-id NAME] [-jobs N] \
-//	          [-heartbeat D] [-poll D] [-timeout D] [-metrics ADDR] [-quiet]
+//	          [-heartbeat D] [-poll D] [-timeout D] [-metrics ADDR] \
+//	          [-pprof ADDR] [-quiet]
 //
 // -metrics starts an HTTP listener serving the worker's fleet metrics
 // (in-flight vs capacity, per-cell wall time, heartbeat RTT, upload dedup)
@@ -61,7 +63,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "wall-clock limit (0 = run until drained)")
 		metrics    = flag.String("metrics", "", "serve Prometheus metrics at this address (e.g. 127.0.0.1:9191; empty = off)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof at this address (e.g. 127.0.0.1:6061; empty = off)")
-		snapshots  = flag.Bool("snapshots", true, "upload mid-run engine snapshots so a re-booked cell warm-resumes instead of restarting from t=0")
 		quiet      = flag.Bool("quiet", false, "suppress per-cell progress lines")
 	)
 	flag.Parse()
@@ -87,12 +88,11 @@ func main() {
 	}
 
 	w := &dispatch.Worker{
-		Dispatcher:       *dispatcher,
-		ID:               *id,
-		Concurrency:      *jobs,
-		HeartbeatEvery:   *heartbeat,
-		Poll:             *poll,
-		DisableSnapshots: !*snapshots,
+		Dispatcher:     *dispatcher,
+		ID:             *id,
+		Concurrency:    *jobs,
+		HeartbeatEvery: *heartbeat,
+		Poll:           *poll,
 	}
 	if !*quiet {
 		w.Logf = func(format string, args ...any) {

@@ -7,24 +7,32 @@
 //
 //   - default: in-process across a bounded worker pool (-workers).
 //   - -dispatch ADDR: serve the matrix as a durable dispatcher at ADDR and
-//     let simworker processes (this machine or others) drain it. Every
-//     state transition lands in a journal (-journal, default OUT/journal),
-//     so a killed sweep resumes.
+//     let simworker processes (this machine or others) drain it over the
+//     wire protocol (/book, /progress, /complete). Every state transition
+//     lands in a journal (-journal, default OUT/journal), so a killed
+//     sweep resumes. While it runs, the dispatcher also serves its fleet
+//     metrics at /metrics and the browsable report bundle at /bundle.
 //   - -resume DIR: reopen an interrupted dispatched sweep — finished cells
 //     keep their recorded results, in-flight ones re-run. Without
 //     -dispatch the remaining cells run in-process over loopback HTTP;
 //     with it they are served to external workers again.
 //
 // All three produce byte-identical reports for the same matrix (the
-// dispatch package's tests enforce it).
+// dispatch package's tests enforce it). SIGINT or SIGTERM cancels the
+// sweep; a dispatched sweep closes (and fsyncs) its journal on the way
+// out, so -resume picks up where it stopped.
 //
 // Usage:
 //
 //	sweep [-scale F] [-vms N] [-days N] [-sample D] \
 //	      [-scenarios a,b,...] [-variants x,y,...] [-seeds 7,11,...] \
 //	      [-workers N] [-timeout D] [-out DIR] [-diff] [-list] [-branch] \
-//	      [-dispatch ADDR] [-resume DIR] [-journal DIR] [-bundle DIR] \
-//	      [-trace FILE] [-engprof DIR]
+//	      [-dispatch ADDR] [-resume DIR] [-journal DIR] [-lease D] \
+//	      [-bundle DIR] [-trace FILE] [-engprof DIR] [-pprof ADDR]
+//
+// -lease is how long a dispatched cell may go without a worker heartbeat
+// before it re-books to another worker. -pprof serves net/http/pprof on
+// its own listener, for profiling the sweep mid-run.
 //
 // -engprof DIR exports each cell's engine self-profile — the always-on
 // per-phase wall-time/work attribution the core collects as it runs — as
@@ -62,16 +70,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"sapsim"
 	"sapsim/internal/artifact"
 	"sapsim/internal/core"
 	"sapsim/internal/dispatch"
+	"sapsim/internal/fleetmetrics"
+	"sapsim/internal/pprofserve"
 	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
 	"sapsim/internal/trace"
@@ -96,12 +109,17 @@ func main() {
 		resumeDir    = flag.String("resume", "", "resume an interrupted dispatched sweep from this journal directory")
 		journalDir   = flag.String("journal", "", "journal directory for -dispatch (default: OUT/journal, or a temp dir)")
 		checkpoint   = flag.Duration("checkpoint", 6*time.Hour, "simulated-time cadence of dispatched workers' mid-run snapshots")
+		lease        = flag.Duration("lease", dispatch.DefaultLease, "heartbeat deadline before a dispatched cell re-books")
 		branch       = flag.Bool("branch", false, "warm-fork cells sharing a (variant, seed) from one snapshot of their common prefix (in-process mode only; byte-identical to a cold sweep)")
 		bundleDir    = flag.String("bundle", "", "materialize a digest-verified report bundle (artifact bodies included) into this directory")
 		traceOut     = flag.String("trace", "", "export the sweep's cell-lifecycle trace (Chrome trace-event JSON, Perfetto-loadable) to this file")
 		engprofDir   = flag.String("engprof", "", "export each cell's engine self-profile as JSON into this directory (for analyze -engprof)")
+		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof at this address (e.g. 127.0.0.1:6060; empty = off)")
 	)
 	flag.Parse()
+	if *workers <= 0 {
+		*workers = runtime.GOMAXPROCS(0)
+	}
 
 	if *list {
 		fmt.Println("scenarios:")
@@ -115,7 +133,15 @@ func main() {
 		return
 	}
 
-	ctx := context.Background()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if *pprofAddr != "" {
+		bound, err := pprofserve.Serve(*pprofAddr)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "sweep: pprof at http://%s/debug/pprof/\n", bound)
+	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -138,16 +164,30 @@ func main() {
 		}
 		return spec
 	}
+	openQueue := func() *dispatch.Queue {
+		opts := dispatch.QueueOptions{Lease: *lease}
+		if *resumeDir == "" {
+			q, err := dispatch.NewQueue(pickJournalDir(*journalDir, *out), parseSpec(), opts)
+			if err != nil {
+				fatal(err)
+			}
+			return q
+		}
+		q, err := dispatch.Resume(*resumeDir, opts)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "sweep: %s\n", q.Recovered())
+		return q
+	}
 
 	var res *scenario.SweepResult
 	var err error
 	start := time.Now()
-	switch {
-	case *resumeDir != "":
-		res, err = resumeSweep(ctx, *resumeDir, *dispatchTo, *workers, *progress, *bundleDir, *traceOut, *engprofDir)
-	case *dispatchTo != "":
-		res, err = serveSweep(ctx, parseSpec(), *dispatchTo, pickJournalDir(*journalDir, *out), *progress, *bundleDir, *traceOut, *engprofDir)
-	default:
+	dispatched := *resumeDir != "" || *dispatchTo != ""
+	if dispatched {
+		res, err = drainQueue(ctx, openQueue(), *dispatchTo, *workers, *progress, *bundleDir, *traceOut, *engprofDir)
+	} else {
 		res, err = localSweep(ctx, parseSpec(), *workers, *diff, *progress, *branch, *bundleDir, *traceOut, *engprofDir)
 	}
 	if err != nil {
@@ -160,7 +200,7 @@ func main() {
 	// Dispatched cells always carry digests; print the diff whenever we
 	// have them or the user asked.
 	diffText := ""
-	if *diff || *dispatchTo != "" || *resumeDir != "" {
+	if *diff || dispatched {
 		diffText = scenario.ArtifactDiff(res)
 		fmt.Print(diffText)
 	}
@@ -375,41 +415,19 @@ func (lt *localTracer) spans() []trace.Span {
 	return out
 }
 
-// serveSweep is the dispatcher path: journal the matrix and serve it to
-// external simworkers until drained.
-func serveSweep(ctx context.Context, spec dispatch.Spec, addr, journalDir string,
+// drainQueue is the dispatcher path, for a fresh or a resumed journal:
+// with addr it serves the cells to external simworkers, without it they
+// run in-process over loopback. Once drained, the bundle, trace and
+// engine profiles are read back out of the journal and the store the
+// workers uploaded into (a resume's workers re-upload any bodies its
+// audit found missing or damaged, so the bundle is complete). The queue
+// is closed — its journal fsynced — on every return, cancellation
+// included.
+func drainQueue(ctx context.Context, q *dispatch.Queue, addr string, workers int,
 	progress bool, bundleDir, traceFile, engprofDir string) (*scenario.SweepResult, error) {
-	q, err := dispatch.NewQueue(journalDir, spec, dispatch.QueueOptions{})
-	if err != nil {
-		return nil, err
-	}
 	defer q.Close()
-	res, err := serveQueue(ctx, q, addr, progress)
-	if err == nil && bundleDir != "" {
-		err = writeBundle(bundleDir, res, q.Store())
-	}
-	if err == nil && traceFile != "" {
-		err = exportJournalTrace(traceFile, q.Dir())
-	}
-	if err == nil && engprofDir != "" {
-		err = exportQueueProfiles(engprofDir, q)
-	}
-	return res, err
-}
-
-// resumeSweep reopens a journal: with addr it serves the remaining cells
-// to external workers, without it they run in-process over loopback. The
-// workers re-upload any artifact bodies the resume audit found missing or
-// damaged, so the bundle that materializes afterward is complete.
-func resumeSweep(ctx context.Context, dir, addr string, workers int,
-	progress bool, bundleDir, traceFile, engprofDir string) (*scenario.SweepResult, error) {
-	q, err := dispatch.Resume(dir, dispatch.QueueOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer q.Close()
-	fmt.Fprintf(os.Stderr, "sweep: %s\n", q.Recovered())
 	var res *scenario.SweepResult
+	var err error
 	if addr != "" {
 		res, err = serveQueue(ctx, q, addr, progress)
 	} else {
@@ -511,6 +529,7 @@ func serveQueue(ctx context.Context, q *dispatch.Queue, addr string, progress bo
 	if progress {
 		d.Logf = logfStderr
 	}
+	d.Instrument(fleetmetrics.NewRegistry())
 	serveCtx, stopServe := context.WithCancel(ctx)
 	defer stopServe()
 	bound, err := d.Serve(serveCtx, addr)
@@ -520,6 +539,7 @@ func serveQueue(ctx context.Context, q *dispatch.Queue, addr string, progress bo
 	fmt.Printf("sweeping %d cells via dispatcher at %s (journal %s)\n",
 		len(q.Snapshot()), bound, filepath.Join(q.Dir(), dispatch.JournalName))
 	fmt.Printf("point workers here:  simworker -dispatcher http://%s\n", bound)
+	fmt.Printf("report bundle at http://%s/bundle, fleet metrics at http://%s/metrics\n", bound, bound)
 	return d.WaitDrained(ctx, 0)
 }
 

@@ -18,8 +18,8 @@
 //  7. materializes the bundle to disk, every body digest-verified on the
 //     way out of the store.
 //
-// The same flow runs across real machines with `cmd/dispatchd` (or
-// `sweep -dispatch`) on one host and `cmd/simworker` on the rest;
+// The same flow runs across real machines with `sweep -dispatch` on one
+// host and `cmd/simworker` on the rest;
 // `sweep -resume DIR` picks up any interrupted journal and
 // `sweep -resume DIR -bundle OUT` exports the bundle.
 package main

@@ -174,11 +174,10 @@ func SpecFor(m scenario.Matrix) (Spec, error) {
 	return s, nil
 }
 
-// ParseSpec assembles a sweep spec from the CLI matrix flags shared by
-// cmd/sweep and cmd/dispatchd: empty scenarios = all builtin, variants
-// "all" = every builtin, comma-separated seeds. Keeping this expansion in
-// one place is part of what keeps the in-process and dispatched paths
-// agreeing cell for cell.
+// ParseSpec assembles a sweep spec from cmd/sweep's matrix flags: empty
+// scenarios = all builtin, variants "all" = every builtin, comma-separated
+// seeds. The in-process and dispatched modes both expand the matrix
+// through it, which is part of what keeps them agreeing cell for cell.
 func ParseSpec(base core.Config, scenariosCSV, variantsCSV, seedsCSV string, checkpointEvery sim.Time) (Spec, error) {
 	spec := Spec{Base: SpecOf(base), CheckpointEvery: checkpointEvery}
 	if scenariosCSV == "" {

@@ -11,7 +11,7 @@ import (
 // of the public surface: the smoke script, the README, and the promql
 // dogfooding queries all reference these names.
 const (
-	// Queue (dispatchd).
+	// Queue (the dispatcher).
 	MetricQueueJobs       = "dispatch_queue_jobs"  // gauge{state}: depth per job state; sums to MetricQueueCells
 	MetricQueueCells      = "dispatch_queue_cells" // gauge: total cells in the sweep matrix
 	MetricBooks           = "dispatch_books_total" // counter: successful bookings
@@ -26,8 +26,8 @@ const (
 	MetricJournalFsyncs   = "dispatch_journal_fsyncs_total"
 	MetricEncodeErrors    = "dispatch_response_encode_errors_total"
 	MetricArtifactHeads   = "dispatch_artifact_head_total" // counter{outcome}: hit|miss — the wire half of dedup
-	// Artifact store (served by dispatchd, counters maintained by the store
-	// itself so Resume-time heal/GC work is included).
+	// Artifact store (served by the dispatcher, counters maintained by the
+	// store itself so Resume-time heal/GC work is included).
 	MetricStoreBlobs       = "artifact_store_blobs"
 	MetricStoreBytes       = "artifact_store_bytes"
 	MetricStorePuts        = "artifact_store_puts_total" // counter{outcome}: stored|dedup

@@ -35,7 +35,6 @@ type WorkerHooks struct {
 	// snapshot, before it is encoded or uploaded (on the session's
 	// event-dispatch goroutine, at the spec's simulated-time cadence —
 	// guaranteed mid-run, however fast the cell runs on the wall clock).
-	// It never fires with DisableSnapshots set.
 	OnCapture func(job int, at sim.Time)
 	// OnUpload fires per artifact body shipped to the dispatcher's store;
 	// deduplicated reports blobs the store already held (skipped via the
@@ -93,11 +92,6 @@ type Worker struct {
 	Logf func(format string, args ...any)
 	// Hooks observe the lifecycle (tests).
 	Hooks WorkerHooks
-	// DisableSnapshots turns off mid-run snapshot capture and warm
-	// resume: cells always start at t=0 and upload no snapshot blobs
-	// (simworker -snapshots=false). Correctness is unaffected — snapshots
-	// only save the re-run prefix after a worker death.
-	DisableSnapshots bool
 	// Artifacts renders the cell's artifact bodies, artifact ID → text
 	// (default sapsim.ArtifactSet — all 18 paper artifacts). Digests are
 	// taken over these bodies, and the bodies ship to the dispatcher's
@@ -401,10 +395,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		}
 	})
 	buildSession := func(snap *sapsim.Snapshot) (*sapsim.Session, error) {
-		opts := []sapsim.Option{sapsim.WithContext(cellCtx), observe}
-		if !w.DisableSnapshots {
-			opts = append(opts, sapsim.WithSnapshotEvery(every))
-		}
+		opts := []sapsim.Option{sapsim.WithContext(cellCtx), observe, sapsim.WithSnapshotEvery(every)}
 		if snap != nil {
 			return sapsim.ResumeFromSnapshot(cfg, snap, opts...)
 		}
@@ -417,7 +408,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	// config; a snapshot saves the replayed prefix, it is never a
 	// correctness dependency.
 	var session *sapsim.Session
-	if booked.Snapshot != nil && !w.DisableSnapshots {
+	if booked.Snapshot != nil {
 		if snap, err := w.fetchSnapshot(cellCtx, booked.Snapshot); err != nil {
 			w.logf("worker %s: job %d snapshot %s unusable (%v); cold restart from t=0",
 				id, booked.Job, booked.Snapshot.Digest, err)

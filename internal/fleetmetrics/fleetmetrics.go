@@ -2,10 +2,11 @@
 // fleet: a small counter/gauge/histogram registry with Prometheus text
 // exposition and no external dependencies. Where internal/exporter renders
 // the *simulated* telemetry plane, fleetmetrics renders the telemetry of
-// the distributed system actually running the sweeps — dispatchd's queue,
-// journal, and artifact store, and each simworker's booking loop — in the
-// same exposition format internal/scrape already parses, so the repo's own
-// scrape → telemetry → promql stack can answer "why is this sweep slow".
+// the distributed system actually running the sweeps — the dispatcher's
+// queue, journal, and artifact store, and each simworker's booking loop —
+// in the same exposition format internal/scrape already parses, so the
+// repo's own scrape → telemetry → promql stack can answer "why is this
+// sweep slow".
 //
 // The exposition is deterministic: families sort by name, series within a
 // family sort by rendered label set, and histogram buckets emit in

@@ -1,7 +1,7 @@
 // Package pprofserve starts a net/http/pprof listener on its own
-// address, for profiling the long-running fleet daemons (dispatchd,
-// simworker) while a sweep is in flight. A dedicated mux keeps the
-// profiling surface off the daemons' protocol listeners — nothing but
+// address, for profiling both ends of a dispatched sweep (`sweep
+// -dispatch` and simworker) while it is in flight. A dedicated mux keeps
+// the profiling surface off the protocol listeners — nothing but
 // /debug/pprof/ is served, and only where the operator asked for it.
 package pprofserve
 

@@ -212,10 +212,10 @@ func TestRecorderNoTargets(t *testing.T) {
 // BenchmarkScrapeIngest measures the scrape ingest path under fleet
 // pressure: N simulated worker /metrics endpoints scraped concurrently into
 // one shared store. That is a stress shape, not a production one: the
-// flight recorder scrapes its targets one after another and dispatchd has
-// no scrape loop. Each scrape batches through one Appender commit, so the
-// contended cost is one store-lock acquisition per scrape, not per-sample
-// locking.
+// flight recorder scrapes its targets one after another and the
+// dispatcher has no scrape loop. Each scrape batches through one Appender
+// commit, so the contended cost is one store-lock acquisition per scrape,
+// not per-sample locking.
 func BenchmarkScrapeIngest(b *testing.B) {
 	const workers = 8
 	const seriesPerWorker = 128

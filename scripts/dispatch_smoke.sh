@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Dispatcher smoke: start dispatchd + 2 simworkers on localhost, kill one
-# worker mid-cell, and assert the lease re-book completes the sweep with a
-# merged report. A fleet flight recorder (`analyze -record`) polls every
+# Dispatcher smoke: start `sweep -dispatch` + 2 simworkers on localhost,
+# kill one worker mid-cell, and assert the lease re-book completes the
+# sweep with a merged report. A fleet flight recorder (`analyze -record`) polls every
 # /metrics endpoint throughout and its dataset must replay into queue and
 # utilization timelines afterwards. Then export the finished sweep as a
 # report bundle with `sweep -bundle` plus a Chrome trace with `-trace`,
@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 workdir="$(mktemp -d)"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-go build -o "$workdir" ./cmd/dispatchd ./cmd/simworker ./cmd/analyze
+go build -o "$workdir" ./cmd/simworker ./cmd/analyze
 # Built separately: `sweep` would collide with the journal dir name below.
 go build -o "$workdir/sweepcli" ./cmd/sweep
 
@@ -25,12 +25,12 @@ worker_metrics="127.0.0.1:${DISPATCH_SMOKE_METRICS_PORT:-19198}"
 journal="$workdir/sweep"
 
 # Cells sized to run a few seconds each, so the kill lands mid-cell.
-"$workdir/dispatchd" -dir "$journal" -addr "$addr" \
+"$workdir/sweepcli" -dispatch "$addr" -journal "$journal" -out "$journal" \
   -scale 0.08 -vms 2800 -days 8 -sample 10m \
   -scenarios baseline,host-failures -seeds 7,11 \
   -lease 3s -checkpoint 6h -timeout 10m \
-  >"$workdir/dispatchd.out" 2>"$workdir/dispatchd.err" &
-dispatchd_pid=$!
+  >"$workdir/dispatcher.out" 2>"$workdir/dispatcher.err" &
+dispatcher_pid=$!
 
 sleep 1
 "$workdir/simworker" -dispatcher "http://$addr" -id victim -heartbeat 300ms -poll 200ms \
@@ -54,7 +54,7 @@ recorder_pid=$!
 # guaranteed mid-cell, with warm-resumable state already in the store.
 killed=""
 for _ in $(seq 1 150); do
-  if grep -Eq 'snapshot at .* from victim' "$workdir/dispatchd.err" 2>/dev/null; then
+  if grep -Eq 'snapshot at .* from victim' "$workdir/dispatcher.err" 2>/dev/null; then
     kill -9 "$victim_pid" 2>/dev/null || true
     killed=yes
     echo "smoke: killed victim worker mid-cell (snapshot journaled)"
@@ -64,7 +64,7 @@ for _ in $(seq 1 150); do
 done
 [ -n "$killed" ] || { echo "smoke: victim never got a snapshot journaled" >&2; exit 1; }
 
-# Mid-sweep fleet observability: scrape dispatchd's and the survivor's
+# Mid-sweep fleet observability: scrape the dispatcher's and the survivor's
 # /metrics endpoints through the in-tree scrape/promql stack and assert
 # queue-depth conservation — every cell of the 2x2 matrix is in exactly one
 # state, whatever the re-book races are doing right now.
@@ -81,9 +81,9 @@ capacity=$("$workdir/analyze" \
 echo "smoke: mid-sweep metrics scrape OK (queue depth conserved at 4 cells)"
 
 # The survivor must drain the sweep, including the re-booked cell.
-if ! wait "$dispatchd_pid"; then
-  echo "smoke: dispatchd failed" >&2
-  cat "$workdir/dispatchd.err" >&2
+if ! wait "$dispatcher_pid"; then
+  echo "smoke: dispatcher failed" >&2
+  cat "$workdir/dispatcher.err" >&2
   exit 1
 fi
 wait "$survivor_pid" || { echo "smoke: survivor failed" >&2; cat "$workdir/survivor.err" >&2; exit 1; }
@@ -105,7 +105,7 @@ echo "smoke: flight recorder captured $rows samples across the sweep"
 
 grep -q '"attempt":2' "$journal/journal.jsonl" ||
   { echo "smoke: no lease re-book recorded in the journal" >&2; exit 1; }
-grep -q 'booked by survivor (attempt 2)' "$workdir/dispatchd.err" ||
+grep -q 'booked by survivor (attempt 2)' "$workdir/dispatcher.err" ||
   { echo "smoke: the re-booked cell was not picked up by the survivor" >&2; exit 1; }
 grep -q '"t":"snapshot"' "$journal/journal.jsonl" ||
   { echo "smoke: no snapshot pointer recorded in the journal" >&2; exit 1; }
